@@ -391,10 +391,8 @@ pub fn recommend(args: &CliArgs) -> Result<String, CliError> {
             model.taxonomy().depth(),
             cascade_k.max(0.01),
         ))
-    } else if kernel.quantized {
-        Backend::Quantized(QuantizedConfig::default())
     } else {
-        Backend::Exhaustive
+        kernel.serving_backend()
     };
     // The served ranking is bit-for-bit identical at any shard count
     // and under any scan kernel; --scan-shards only changes how the
@@ -487,14 +485,28 @@ fn backend_name(backend: &Backend, cascade_k: f64) -> String {
 pub(crate) struct ScanKernelChoice {
     /// Force this f32 kernel instead of auto-detection (`scalar`/`simd`).
     pub force: Option<F32Kernel>,
-    /// Serve through [`Backend::Quantized`] (`quantized`).
+    /// [`Backend::Quantized`] was asked for by name (`quantized`).
     pub quantized: bool,
 }
 
-/// Parse `--scan-kernel`. `scalar` and `simd` force the f32 kernel
-/// (overriding both CPU detection and the `TAXREC_SCAN_KERNEL` env
-/// var); `quantized` selects the int8 first-pass backend, whose exact
-/// rescore still uses the detected kernel.
+impl ScanKernelChoice {
+    /// The exact-scan backend `serve` and `recommend` use: the
+    /// int8-first scan unless an f32 kernel was named, which selects
+    /// the plain f32 scan with that kernel.
+    pub fn serving_backend(&self) -> Backend {
+        if self.force.is_some() {
+            Backend::Exhaustive
+        } else {
+            Backend::Quantized(QuantizedConfig::default())
+        }
+    }
+}
+
+/// Parse `--scan-kernel`. `scalar` and `simd` select the plain f32
+/// scan with that kernel forced (overriding both CPU detection and
+/// the `TAXREC_SCAN_KERNEL` env var); `quantized` — also what `serve`
+/// and `recommend` do when the flag is absent — selects the int8
+/// first-pass backend, whose exact rescore uses the detected kernel.
 pub(crate) fn parse_scan_kernel(args: &CliArgs) -> Result<ScanKernelChoice, CliError> {
     match args.value("scan-kernel") {
         None => Ok(ScanKernelChoice::default()),
@@ -836,6 +848,71 @@ mod tests {
             model.display()
         )))
         .is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scan_kernel_flag_selects_the_serving_backend() {
+        use super::parse_scan_kernel;
+        use crate::CliArgs;
+        use taxrec_core::{Backend, QuantizedConfig};
+
+        // What `serve` and `recommend` both build their backend from.
+        let parse = |flags: &str| parse_scan_kernel(&CliArgs::parse(argv(flags)));
+        let backend = |flags: &str| parse(flags).unwrap().serving_backend();
+        let quantized = Backend::Quantized(QuantizedConfig::default());
+        assert_eq!(backend(""), quantized);
+        assert_eq!(backend("--scan-kernel quantized"), quantized);
+        assert_eq!(backend("--scan-kernel simd"), Backend::Exhaustive);
+        assert_eq!(backend("--scan-kernel scalar"), Backend::Exhaustive);
+        assert!(parse("--scan-kernel int4").is_err());
+
+        let dir = tmpdir("scankernel");
+        let data = dir.join("data");
+        let model = dir.join("m.tfm");
+        run(&argv(&format!(
+            "generate --out {} --users 120 --items 300 --seed 5",
+            data.display()
+        )))
+        .unwrap();
+        run(&argv(&format!(
+            "train --data {} --model {} --tf 4,1 --factors 8 --epochs 2",
+            data.display(),
+            model.display()
+        )))
+        .unwrap();
+        let recommend = |flags: &str| {
+            run(&argv(&format!(
+                "recommend --data {} --model {} --users 0-7 --top 4 {flags}",
+                data.display(),
+                model.display()
+            )))
+        };
+        // The header names the backend; the per-user blocks below it
+        // are the same bytes under every exact scan.
+        let split = |out: String| {
+            let (header, blocks) = out.split_once('\n').unwrap();
+            (header.to_string(), blocks.to_string())
+        };
+        let (header, default_blocks) = split(recommend("").unwrap());
+        assert!(header.contains("(quantized, kernel "), "{header}");
+        for (flags, names) in [
+            ("--scan-kernel quantized", "(quantized, kernel "),
+            ("--scan-kernel scalar", "(exhaustive, kernel scalar,"),
+            ("--scan-kernel simd", "(exhaustive, kernel "),
+        ] {
+            let (header, blocks) = split(recommend(flags).unwrap());
+            assert!(header.contains(names), "{flags}: {header}");
+            assert_eq!(blocks, default_blocks, "{flags} changed the ranking");
+        }
+        // --cascade needs no kernel flag, takes an f32 kernel, and only
+        // refuses the int8 scan when that was asked for by name.
+        for flags in ["--cascade 0.3", "--cascade 0.3 --scan-kernel simd"] {
+            let (header, _) = split(recommend(flags).unwrap());
+            assert!(header.contains("(cascaded K=0.3, kernel "), "{header}");
+        }
+        let err = recommend("--cascade 0.3 --scan-kernel quantized").unwrap_err();
+        assert!(err.to_string().contains("exclusive"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

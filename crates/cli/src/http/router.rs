@@ -87,7 +87,8 @@ impl Response {
 
 /// Parse the `cascade` parameter into a backend override; without one
 /// the request serves through the engine's own configured backend
-/// (e.g. the quantized scan under `--scan-kernel quantized`).
+/// (the int8-first scan, or the plain f32 scan under `--scan-kernel
+/// scalar|simd`).
 fn backend_from(cascade: Option<&str>, depth: usize, default: &Backend) -> Backend {
     match cascade.and_then(|v| v.parse::<f64>().ok()) {
         Some(k) if k < 1.0 => Backend::Cascaded(CascadeConfig::uniform(depth, k.max(0.01))),

@@ -558,11 +558,7 @@ pub fn serve(args: &CliArgs) -> Result<String, CliError> {
     }
     let kernel = crate::commands::parse_scan_kernel(args)?;
     let config = LiveConfig {
-        backend: if kernel.quantized {
-            taxrec_core::Backend::Quantized(taxrec_core::QuantizedConfig::default())
-        } else {
-            taxrec_core::Backend::Exhaustive
-        },
+        backend: kernel.serving_backend(),
         log_path: args.value("live-log").map(Into::into),
         snapshot_path: args.value("snapshot").map(Into::into),
         snapshot_every: args.get("snapshot-every", 256u64)?,

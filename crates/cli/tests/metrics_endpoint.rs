@@ -352,6 +352,8 @@ fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
         ("taxrec_scan_rows_total", "counter"),
         ("taxrec_scan_blocks_total", "counter"),
         ("taxrec_scan_busy_us_total", "counter"),
+        ("taxrec_quant_pool_scans_total", "counter"),
+        ("taxrec_quant_rescored_rows_total", "counter"),
     ] {
         let fam = families
             .get(family)
@@ -367,6 +369,13 @@ fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
             .unwrap_or_else(|| panic!("no scan series for shard {shard}"));
         assert!(rows.value > 0.0, "shard {shard} scanned no rows");
     }
+
+    // Default serving is the int8-first scan: it rescored some rows in
+    // f32, and never more than it scanned.
+    let total = |family: &str| -> f64 { families[family].samples.iter().map(|s| s.value).sum() };
+    let rescored = total("taxrec_quant_rescored_rows_total");
+    assert!(rescored > 0.0, "default serving rescored no rows");
+    assert!(rescored <= total("taxrec_scan_rows_total"));
 
     // Counter monotonicity: more traffic never decreases any series.
     // In-process `route()` bypasses the connection layer, so drive its
@@ -391,6 +400,7 @@ fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
         "taxrec_http_requests_total{route=/recommend}",
         "taxrec_scan_rows_total{shard=0}",
         "taxrec_scan_rows_total{shard=1}",
+        "taxrec_quant_rescored_rows_total{}",
     ] {
         assert!(
             after[advanced] > before[advanced],

@@ -385,6 +385,7 @@ pub struct ScanMetrics {
     quant_scans: Counter,
     quant_sufficient: Counter,
     quant_insufficient: Counter,
+    quant_rescored_rows: Counter,
 }
 
 #[derive(Debug)]
@@ -404,7 +405,7 @@ impl ScanMetrics {
                 ShardScanCounters {
                     rows: registry.counter(
                         "taxrec_scan_rows_total",
-                        "Catalog rows scored by the blocked exhaustive scan, per shard",
+                        "Catalog rows scanned (blocked f32 scan or int8 first pass), per shard",
                         &labels,
                     ),
                     blocks: registry.counter(
@@ -437,6 +438,11 @@ impl ScanMetrics {
                 "Quantized scans whose exact-rescore work overran the pool budget",
                 &[],
             ),
+            quant_rescored_rows: registry.counter(
+                "taxrec_quant_rescored_rows_total",
+                "Catalog rows the quantized scans rescored in exact f32",
+                &[],
+            ),
         })
     }
 
@@ -452,9 +458,10 @@ impl ScanMetrics {
             .set(1);
     }
 
-    /// Record one quantized first-pass scan and whether its exact-rescore
-    /// work stayed within the configured pool budget.
-    pub fn record_quant(&self, sufficient: bool) {
+    /// Record one quantized first-pass scan: how many rows it rescored
+    /// in exact f32 and whether that stayed within the rescore budget.
+    pub fn record_quant(&self, sufficient: bool, rescored_rows: u64) {
+        self.quant_rescored_rows.add(rescored_rows);
         self.quant_scans.inc();
         if sufficient {
             self.quant_sufficient.inc();

@@ -28,7 +28,8 @@ use taxrec_taxonomy::ItemId;
 /// rescores in exact f32 only the rows still competing within the
 /// rigorous error bound ([`QuantQuery::error_bound`]), so results are
 /// exact unconditionally. `pool_size(k) = max(pool_factor · k,
-/// k + pool_margin)` is the per-shard **rescore budget**: a scan
+/// k + pool_margin)` is the floor of the per-shard **rescore budget**
+/// (`max(pool_size(k), shard_rows / 16)`, see `rescore_budget`): a scan
 /// whose exact-rescore count stays within it is counted *sufficient*
 /// in [`RecommendEngine::quant_pool_stats`] — the quantized grid is
 /// resolving the top of the ranking cheaply — while overruns are
@@ -206,11 +207,8 @@ fn scan_shard(
 /// uses the bit-identical f32 kernel family
 /// ([`Scorer::score_item`]'s).
 ///
-/// Returns `(rows scanned, within budget)`: the scan is *sufficient*
-/// when the int8 pre-filter kept the number of exact rescores within
-/// the configured budget `pool_k`, the signal surfaced by
-/// [`RecommendEngine::quant_pool_stats`] that the quantized grid is
-/// still resolving the top of the ranking cheaply.
+/// Returns `(rows scanned, rows rescored in f32)`; the caller holds
+/// the rescore count against [`rescore_budget`].
 #[allow(clippy::too_many_arguments)]
 fn scan_shard_quantized(
     shard: &CatalogShard,
@@ -219,11 +217,10 @@ fn scan_shard_quantized(
     query: &[f32],
     exclude: &[ItemId],
     k: usize,
-    pool_k: usize,
     dots: &mut Vec<i32>,
     approx: &mut Vec<f32>,
     topk: &mut TopK,
-) -> (u64, bool) {
+) -> (u64, u64) {
     // Rigorous slack for this (query, table) pair: every row's exact
     // f32 score is within `eps` of its approximate score.
     let eps = qq.error_bound(shard.quant.max_scale(), shard.quant.max_abs_sum());
@@ -237,7 +234,7 @@ fn scan_shard_quantized(
     } else {
         f64::NEG_INFINITY
     };
-    let mut rescored = 0usize;
+    let mut rescored = 0u64;
     dots.clear();
     dots.resize(taxrec_factors::COW_CHUNK_ROWS, 0);
     approx.clear();
@@ -265,7 +262,21 @@ fn scan_shard_quantized(
         }
         base += n;
     }
-    (shard.quant.rows() as u64, rescored <= pool_k)
+    (shard.quant.rows() as u64, rescored)
+}
+
+/// Exact rescores a quantized scan of a `shard_rows`-row shard may
+/// spend and still be counted *sufficient*:
+/// `max(cfg.pool_size(k), shard_rows / 16)`.
+///
+/// The scan rescores against an *evolving* k-th score, so even a
+/// zero-error filter rescores ≈ `k · ln(rows / k)` rows in id order —
+/// a constant budget is overrun by every shard above a few hundred
+/// rows whatever the bound does. One f32 row costs four int8 rows of
+/// bandwidth, so `rows / 16` reads "rescoring cost under a quarter of
+/// the int8 pass"; `pool_size(k)` stays the floor for small shards.
+fn rescore_budget(cfg: &QuantizedConfig, k: usize, shard_rows: u64) -> u64 {
+    (cfg.pool_size(k) as u64).max(shard_rows / 16)
 }
 
 /// A frozen model ready to serve batched top-K recommendations.
@@ -758,9 +769,10 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     }
 
     /// [`recommend_with`](Self::recommend_with) recording one span per
-    /// pipeline stage into `trace`: `query`, one `scan[i]` per catalog
-    /// shard, `merge` (exhaustive backend) or `cascade_rescore`
-    /// (cascaded backend). Identical results to the untraced path.
+    /// pipeline stage into `trace`: `query`, then one `scan[i]` per
+    /// catalog shard and `merge` (exhaustive and quantized backends) or
+    /// `cascade_rescore` (cascaded backend). Identical results to the
+    /// untraced path.
     pub fn recommend_traced(
         &self,
         req: &RecommendRequest<'_>,
@@ -878,23 +890,22 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     ) {
         let k = req.k.min(self.catalog_len());
         let qq = QuantQuery::from_query(&scratch.query);
-        let pool_k = cfg.pool_size(k);
         scratch.partials.resize_with(self.shards.len(), Vec::new);
         for (si, shard) in self.shards.iter().enumerate() {
             let t_metric = self.scan_metrics.as_ref().map(|_| Instant::now());
             let t_span = trace.as_ref().map(|t| t.clock());
-            let (rows, sufficient) = scan_shard_quantized(
+            let (rows, rescored) = scan_shard_quantized(
                 shard,
                 self.kernel,
                 &qq,
                 &scratch.query,
                 req.exclude,
                 k,
-                pool_k,
                 &mut scratch.qdots,
                 &mut scratch.qapprox,
                 &mut scratch.topk,
             );
+            let sufficient = rescored <= rescore_budget(cfg, k, rows);
             self.quant_pool.scans.fetch_add(1, Ordering::Relaxed);
             if sufficient {
                 self.quant_pool.sufficient.fetch_add(1, Ordering::Relaxed);
@@ -903,10 +914,10 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
             }
             if let (Some(sm), Some(t0)) = (self.scan_metrics.as_ref(), t_metric) {
                 sm.record(si, rows, shard.quant.num_chunks() as u64, t0.elapsed());
-                sm.record_quant(sufficient);
+                sm.record_quant(sufficient, rescored);
             }
             if let (Some(t), Some(start)) = (trace.as_mut(), t_span) {
-                t.close(&format!("qscan[{si}]"), start);
+                t.close(&format!("scan[{si}]"), start);
             }
             scratch.topk.drain_sorted_into(&mut scratch.partials[si]);
         }
@@ -1060,6 +1071,45 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn rescore_budget_scales_with_the_shard() {
+        let cfg = QuantizedConfig::default();
+        assert_eq!(cfg.pool_size(10), 42);
+        // Small shards keep the configured floor; from ~700 rows up —
+        // where k·ln(rows/k) outgrows any constant — it is rows / 16.
+        assert_eq!(rescore_budget(&cfg, 10, 100), 42);
+        assert_eq!(rescore_budget(&cfg, 10, 700), 43);
+        assert_eq!(rescore_budget(&cfg, 10, 16_000), 1_000);
+        // A pool that already covers the shard is never shrunk.
+        assert_eq!(rescore_budget(&cfg, 16_000, 16_000), 64_000);
+    }
+
+    #[test]
+    fn default_serving_backend_batches_match_per_request_calls() {
+        let m = model(1);
+        let backend = crate::live::LiveConfig::default().backend;
+        assert_eq!(backend, Backend::Quantized(QuantizedConfig::default()));
+        let oracle = RecommendEngine::new(&m);
+        let engine = RecommendEngine::with_backend_sharded(&m, backend, 2);
+        let requests: Vec<RecommendRequest> =
+            (0..33).map(|u| RecommendRequest::simple(u, 6)).collect();
+        let want: Vec<_> = requests.iter().map(|r| engine.recommend(r)).collect();
+        for (req, got) in requests.iter().zip(&want) {
+            assert_eq!(got, &oracle.recommend(req), "user {}", req.user);
+        }
+        for threads in [1usize, 2] {
+            assert_eq!(
+                engine.recommend_batch(&requests, threads),
+                want,
+                "{threads} threads"
+            );
+        }
+        // Every worker bumps the same three atomics: none may be lost.
+        let stats = engine.quant_pool_stats();
+        assert_eq!(stats.scans, 3 * 2 * requests.len() as u64);
+        assert_eq!(stats.sufficient + stats.insufficient, stats.scans);
     }
 
     #[test]

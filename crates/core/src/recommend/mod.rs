@@ -56,9 +56,10 @@
 //! The inner dot products dispatch through a runtime-selected
 //! [`F32Kernel`] (portable scalar / AVX2, selected once at engine
 //! construction, forceable via [`SCAN_KERNEL_ENV`]), and
-//! [`Backend::Quantized`] adds an int8 first-pass scan whose candidate
-//! pool is exactly rescored in f32 with a per-shard sufficiency proof
-//! (exhaustive fallback otherwise). Both are *bit-invariant* by
+//! [`Backend::Quantized`] — the default of live serving
+//! ([`crate::live::LiveConfig`]) — adds an int8 first-pass scan that
+//! rescores in exact f32 every row its rigorous error bound leaves in
+//! play. Both are *bit-invariant* by
 //! construction — the SIMD kernels reproduce the scalar lane-split
 //! summation exactly, and the quantized backend always serves the
 //! exhaustive ranking — so a fifth law joins the four above:

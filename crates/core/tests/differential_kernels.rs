@@ -277,10 +277,11 @@ fn pools_covering_the_catalog_are_always_proven_sufficient() {
 #[test]
 fn starved_quantized_pools_fall_back_to_exact_scans() {
     let (model, _d) = trained_model();
-    // budget == k exactly: any scan that rescores even one competitive
-    // non-winner overruns it — yet the served ranking must stay
-    // bit-identical to the f32 oracle, because the budget is pure
-    // observability and never truncates the branch-and-bound rescore.
+    // The configured floor is k itself, so the budget is the shard's
+    // own rows / 16 (25 of 400 rows here) and the flat-tailed scores
+    // overrun it — yet the served ranking must stay bit-identical to
+    // the f32 oracle, because the budget is pure observability and
+    // never truncates the branch-and-bound rescore.
     let starved = QuantizedConfig {
         pool_factor: 1,
         pool_margin: 0,
@@ -306,8 +307,8 @@ fn starved_quantized_pools_fall_back_to_exact_scans() {
         stats.scans,
         "every scan must be classified"
     );
-    // With budget == k, the flat-tailed synthetic scores force the
-    // k=1 scans to rescore more than one competitive row, so the
+    // The flat-tailed synthetic scores keep more than a sixteenth of
+    // the shard within the error bound of the k-th score, so the
     // over-budget branch is guaranteed to be recorded — and the
     // equality above still held.
     assert!(
