@@ -208,51 +208,68 @@ fn parse_prometheus(text: &str) -> Result<HashMap<String, Family>, String> {
     if pending_help.is_some() {
         return Err("trailing HELP without TYPE".into());
     }
-    // Histogram invariants: buckets are cumulative, end at +Inf, and
-    // the +Inf bucket equals _count.
+    // Histogram invariants, per label set: buckets are cumulative, end
+    // at +Inf, and the +Inf bucket equals _count.
     for (name, fam) in &families {
         if fam.kind != "histogram" {
             continue;
         }
-        let buckets: Vec<&Sample> = fam
-            .samples
-            .iter()
-            .filter(|s| s.name == format!("{name}_bucket"))
-            .collect();
-        if buckets.is_empty() {
-            return Err(format!("histogram {name} has no buckets"));
-        }
-        let mut prev = -1.0f64;
-        let mut prev_count = 0.0f64;
-        for b in &buckets {
-            let le = b
-                .labels
+        let without_le = |s: &Sample| -> Vec<(String, String)> {
+            s.labels
                 .iter()
-                .find(|(k, _)| k == "le")
-                .map(|(_, v)| parse_value(v))
-                .ok_or_else(|| format!("bucket of {name} without le"))??;
-            if le <= prev {
-                return Err(format!("histogram {name} buckets out of order"));
+                .filter(|(k, _)| k != "le")
+                .cloned()
+                .collect()
+        };
+        let mut series: Vec<Vec<(String, String)>> = Vec::new();
+        for s in &fam.samples {
+            let labels = without_le(s);
+            if !series.contains(&labels) {
+                series.push(labels);
             }
-            if b.value < prev_count {
-                return Err(format!("histogram {name} buckets not cumulative"));
+        }
+        for labels in &series {
+            let of_series = |suffix: &str| {
+                let full = format!("{name}{suffix}");
+                fam.samples
+                    .iter()
+                    .filter(move |s| s.name == full && without_le(s) == *labels)
+            };
+            if of_series("_bucket").next().is_none() {
+                return Err(format!("histogram {name}{labels:?} has no buckets"));
             }
-            prev = le;
-            prev_count = b.value;
-        }
-        if prev != f64::INFINITY {
-            return Err(format!("histogram {name} missing the +Inf bucket"));
-        }
-        let count = fam
-            .samples
-            .iter()
-            .find(|s| s.name == format!("{name}_count"))
-            .ok_or_else(|| format!("histogram {name} missing _count"))?;
-        if count.value != prev_count {
-            return Err(format!("histogram {name}: +Inf bucket != _count"));
-        }
-        if !fam.samples.iter().any(|s| s.name == format!("{name}_sum")) {
-            return Err(format!("histogram {name} missing _sum"));
+            let mut prev = -1.0f64;
+            let mut prev_count = 0.0f64;
+            for b in of_series("_bucket") {
+                let le = b
+                    .labels
+                    .iter()
+                    .find(|(k, _)| k == "le")
+                    .map(|(_, v)| parse_value(v))
+                    .ok_or_else(|| format!("bucket of {name} without le"))??;
+                if le <= prev {
+                    return Err(format!("histogram {name}{labels:?} buckets out of order"));
+                }
+                if b.value < prev_count {
+                    return Err(format!("histogram {name}{labels:?} buckets not cumulative"));
+                }
+                prev = le;
+                prev_count = b.value;
+            }
+            if prev != f64::INFINITY {
+                return Err(format!(
+                    "histogram {name}{labels:?} missing the +Inf bucket"
+                ));
+            }
+            let count = of_series("_count")
+                .next()
+                .ok_or_else(|| format!("histogram {name}{labels:?} missing _count"))?;
+            if count.value != prev_count {
+                return Err(format!("histogram {name}{labels:?}: +Inf bucket != _count"));
+            }
+            if of_series("_sum").next().is_none() {
+                return Err(format!("histogram {name}{labels:?} missing _sum"));
+            }
         }
     }
     Ok(families)
@@ -347,6 +364,8 @@ fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
         ("taxrec_live_events_applied_total", "counter"),
         ("taxrec_live_publishes_total", "counter"),
         ("taxrec_live_publish_seconds", "histogram"),
+        ("taxrec_live_apply_seconds", "histogram"),
+        ("taxrec_live_publish_copied_bytes_total", "counter"),
         ("taxrec_wal_append_seconds", "histogram"),
         ("taxrec_wal_fsync_seconds", "histogram"),
         ("taxrec_scan_rows_total", "counter"),
@@ -409,6 +428,66 @@ fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
             after[advanced]
         );
     }
+}
+
+#[test]
+fn apply_histograms_and_copied_bytes_move_with_each_write() {
+    let st = observed_server(2);
+    // (applies per event type, bytes copied across publishes) as
+    // `/metrics` reports them right now.
+    let scrape = |st: &LiveServer| -> ([f64; 3], f64) {
+        let families = parse_prometheus(&get(st, "/metrics").body).unwrap();
+        let applies = ["add_item", "fold_in", "refold"].map(|event| {
+            families["taxrec_live_apply_seconds"]
+                .samples
+                .iter()
+                .find(|s| {
+                    s.name == "taxrec_live_apply_seconds_count"
+                        && s.labels == vec![("event".to_string(), event.to_string())]
+                })
+                .unwrap_or_else(|| panic!("no apply series for {event}"))
+                .value
+        });
+        let copied = families["taxrec_live_publish_copied_bytes_total"].samples[0].value;
+        (applies, copied)
+    };
+    assert_eq!(scrape(&st), ([0.0; 3], 0.0));
+
+    let parent = {
+        let snap = st.live().cell().load();
+        let tax = snap.model().taxonomy();
+        tax.parent(tax.item_node(ItemId(0))).unwrap().0
+    };
+    let add = format!("{{\"parent\": {parent}}}");
+    assert_eq!(route(&st, "POST", "/items", add.as_bytes()).status, 200);
+    let (applies, after_add) = scrape(&st);
+    assert_eq!(applies, [1.0, 0.0, 0.0]);
+    // One appended row in each of the two offset tables, the two
+    // effective-factor tables and the last scan shard: at least the
+    // rows themselves, at most one 256-row chunk each.
+    let row_bytes = 4.0 * 4.0; // K = 4 f32s
+    assert!(
+        (5.0 * row_bytes..=5.0 * 256.0 * row_bytes).contains(&after_add),
+        "add-item copied {after_add} bytes"
+    );
+
+    let fold = br#"{"history": [[1, 2], [3]], "steps": 20, "seed": 7}"#;
+    assert_eq!(route(&st, "POST", "/users/fold-in", fold).status, 200);
+    let (applies, after_fold) = scrape(&st);
+    assert_eq!(applies, [1.0, 1.0, 0.0]);
+    // A fold-in copies the user table's tail chunk and nothing else.
+    let fold_bytes = after_fold - after_add;
+    assert!(
+        (row_bytes..=256.0 * row_bytes).contains(&fold_bytes),
+        "fold-in copied {fold_bytes} bytes"
+    );
+
+    // A rejected write is neither applied nor published.
+    assert_eq!(
+        route(&st, "POST", "/items", br#"{"parent": 999999}"#).status,
+        400
+    );
+    assert_eq!(scrape(&st), ([1.0, 1.0, 0.0], after_fold));
 }
 
 #[test]

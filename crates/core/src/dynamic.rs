@@ -37,20 +37,25 @@ impl TfModel {
     }
 
     /// In-place variant of [`with_added_item`](Self::with_added_item) —
-    /// the live applier's primitive. Swaps in the grown taxonomy,
+    /// the live applier's primitive. Grows the taxonomy arena by one
+    /// leaf ([`Taxonomy::push_leaf`](taxrec_taxonomy::Taxonomy::push_leaf)),
     /// appends one zero offset row to both node matrices, and appends
-    /// the new item's truncated path. Every mutation is chunk-local
-    /// copy-on-write: the matrix appends touch only the tail chunk
-    /// (copied once if shared with an earlier clone) and the path table
-    /// diverges once per clone via `Arc::make_mut` — the rest of the
-    /// model stays structurally shared with every snapshot it descended
-    /// from. Every existing node/item/user id keeps its meaning, factors
-    /// are bit-identical, and the new item's effective factor equals its
-    /// category's (the paper's Fig. 7(c) cold-start estimate).
+    /// the new item's truncated path. Every mutation is copy-on-write:
+    /// the matrix appends touch only the tail chunk (copied once if
+    /// shared with an earlier clone), and the taxonomy and path table
+    /// each diverge once per clone via `Arc::make_mut` — one flat copy
+    /// of their arrays, no rebuild. Every existing node/item/user id
+    /// keeps its meaning, factors are bit-identical, and the new item's
+    /// effective factor equals its category's (the paper's Fig. 7(c)
+    /// cold-start estimate).
+    ///
+    /// A rejected `parent` is caught on the shared taxonomy before any
+    /// copy-on-write, so on error neither the model nor the arena it
+    /// shares with published snapshots is touched.
     pub fn add_item_mut(&mut self, parent: NodeId) -> Result<ItemId, TaxonomyError> {
-        let (tax, _node, item) = self.taxonomy().with_added_leaf(parent)?;
+        self.taxonomy.check_push_leaf(parent)?;
         let old_depth = self.taxonomy.depth();
-        self.taxonomy = Arc::new(tax);
+        let (_node, item) = Arc::make_mut(&mut self.taxonomy).push_leaf(parent)?;
         let zero = vec![0.0f32; self.k()];
         self.node_factors.push_row(&zero);
         self.next_factors.push_row(&zero);
@@ -444,6 +449,49 @@ mod tests {
         assert_eq!(grown.user_factors, mutated.user_factors);
         assert_eq!(grown.taxonomy().num_nodes(), mutated.taxonomy().num_nodes());
         assert_eq!(grown.cutoff_level(), mutated.cutoff_level());
+    }
+
+    #[test]
+    fn rejected_add_copies_nothing() {
+        let d = data();
+        let m = trained(&d, 1);
+        // `published` plays the snapshot readers still hold: every
+        // Arc and chunk of `m` is shared, so a write would have to copy.
+        let published = m.clone();
+        let mut m = m;
+        let leaf = m.taxonomy().item_node(ItemId(3));
+        let past = NodeId(m.taxonomy().num_nodes() as u32);
+        assert_eq!(m.add_item_mut(leaf), Err(TaxonomyError::FrozenNode(leaf)));
+        assert_eq!(m.add_item_mut(past), Err(TaxonomyError::UnknownNode(past)));
+        assert!(Arc::ptr_eq(&m.taxonomy, &published.taxonomy));
+        assert!(Arc::ptr_eq(&m.paths, &published.paths));
+        assert_eq!(m.chunk_sharing_with(&published).1, 0, "no chunk copied");
+        assert_eq!(m.num_items(), published.num_items());
+        // An accepted add then diverges from the snapshot, which keeps
+        // its own arena.
+        let nodes = published.taxonomy().num_nodes();
+        m.add_item_mut(m.taxonomy().parent(leaf).unwrap()).unwrap();
+        assert!(!Arc::ptr_eq(&m.taxonomy, &published.taxonomy));
+        assert_eq!(published.taxonomy().num_nodes(), nodes);
+        assert_eq!(m.taxonomy().num_nodes(), nodes + 1);
+    }
+
+    #[test]
+    fn growth_under_a_childless_root_rebuilds_the_path_table() {
+        // Root-only arena: the first item deepens the tree, so the
+        // cutoff level and every truncated path change shape.
+        let root_only = Arc::new(taxrec_taxonomy::TaxonomyBuilder::new().freeze());
+        let cfg = ModelConfig::tf(2, 0).with_factors(4);
+        let mut m = TfModel::init(cfg.clone(), root_only, 3, 1);
+        assert_eq!((m.num_items(), m.cutoff_level()), (0, 0));
+        for expected in 0..3u32 {
+            assert_eq!(m.add_item_mut(NodeId::ROOT), Ok(ItemId(expected)));
+            let fresh = TfModel::init(cfg.clone(), m.taxonomy_arc(), 3, 1);
+            assert_eq!(m.paths(), fresh.paths());
+            assert_eq!(m.cutoff_level(), fresh.cutoff_level());
+            assert_eq!(m.node_factors.rows(), m.taxonomy().num_nodes());
+        }
+        assert_eq!((m.taxonomy().depth(), m.cutoff_level()), (1, 0));
     }
 
     #[test]

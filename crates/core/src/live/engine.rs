@@ -87,6 +87,29 @@ impl LiveEngine {
         }
     }
 
+    /// Factor bytes this snapshot does *not* share by pointer with
+    /// `prev`: the model's copy-on-write chunks, the scorer's two
+    /// effective-factor tables and the scan shards' matrices. For the
+    /// successor of `prev` this is what the events since then and the
+    /// publish itself copied or appended — the
+    /// `taxrec_live_publish_copied_bytes_total` counter.
+    pub fn copied_bytes_since(&self, prev: &LiveEngine) -> u64 {
+        let model: u64 = self
+            .model()
+            .cow_matrices()
+            .iter()
+            .zip(prev.model().cow_matrices())
+            .map(|(a, b)| a.copied_since(b).1)
+            .sum();
+        let derived: u64 = self
+            .engine
+            .copied_since(&prev.engine)
+            .iter()
+            .map(|&(_, bytes)| bytes)
+            .sum();
+        model + derived
+    }
+
     /// The batched recommendation engine for this epoch.
     pub fn engine(&self) -> &RecommendEngine<Arc<TfModel>> {
         &self.engine

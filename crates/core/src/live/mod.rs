@@ -33,16 +33,18 @@
 //!    successor engine is derived via
 //!    [`crate::recommend::RecommendEngine::grown_from`]: the dense item
 //!    matrix and the effective-factor tables are
-//!    [`taxrec_factors::GrowMatrix`]es whose base is shared with the
-//!    predecessor snapshot and whose appended tail holds only the new
-//!    rows. The authoritative [`crate::TfModel`] is **persistent** too:
+//!    [`taxrec_factors::GrowMatrix`]es whose base *and* appended tail
+//!    chunks are shared with the predecessor snapshot; a new row copies
+//!    at most the one 256-row tail chunk it lands in. The authoritative
+//!    [`crate::TfModel`] is **persistent** too:
 //!    its factor tables are chunked copy-on-write matrices
 //!    ([`taxrec_factors::CowMatrix`]) and its path table sits behind an
 //!    `Arc`, so the per-publish `model().clone()` bumps refcounts
 //!    instead of copying factors, and the events that preceded the
 //!    publish copied only the chunks they touched. The applier records
-//!    the publish latency histogram and a shared/copied chunk counter
-//!    pair ([`LiveStats`]) so `GET /live/stats` *proves* the sharing in
+//!    the publish latency histogram, a shared/copied chunk counter
+//!    pair and the bytes each publish did not share ([`LiveStats`]) so
+//!    `GET /live/stats` and `GET /metrics` *prove* the sharing in
 //!    production; `fig7c_live`'s publish sweep guards it in CI.
 //! 3. **`snapshot + replay(log) ≡ live state`.** Every applied event is
 //!    appended to a length-prefixed binary event log before it becomes

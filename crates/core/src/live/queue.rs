@@ -447,7 +447,9 @@ fn applier(
                         Ok(()) => {
                             let record_start = log_buf.len();
                             encode_event(&mut log_buf, &ev);
+                            let t_apply = std::time::Instant::now();
                             let applied = state.apply(&ev).expect("validated event must apply");
+                            stats.record_apply(&applied, t_apply.elapsed());
                             if repl.is_some() {
                                 repl_batch.push((
                                     log_buf[record_start..].to_vec(),
@@ -536,20 +538,24 @@ fn applier(
             // Build the successor outside any lock, swap, then reply:
             // a submitter that hears back can immediately load() an
             // engine containing its update. The whole derivation is
-            // structural sharing — `state.model().clone()` inside
-            // `next_from` bumps chunk refcounts, it does not copy
-            // factors — so this block is O(rows touched by the batch);
-            // the histogram + chunk counters prove it in production.
+            // structural sharing — `state.model().clone()` and the
+            // scorer/shard table clones inside `next_from` bump chunk
+            // refcounts, they do not copy factors — so this block is
+            // O(rows touched by the batch), independent of how many
+            // rows earlier batches appended; the histogram, the chunk
+            // counters and the copied-bytes counter prove it in
+            // production.
             let t_span_publish = trace.as_ref().map(|t| t.clock());
             let t_publish = std::time::Instant::now();
             let prev = cell.load();
             let next = LiveEngine::next_from(&prev, &state);
             let epoch = next.epoch();
             let (shared, copied) = next.model().chunk_sharing_with(prev.model());
+            let copied_bytes = next.copied_bytes_since(&prev);
             stats.set_model_bytes(next.model());
             cell.publish(next);
             stats.inc_publishes();
-            stats.record_publish(t_publish.elapsed(), shared, copied);
+            stats.record_publish(t_publish.elapsed(), shared, copied, copied_bytes);
             // Commit to the replication stream only now: the batch is
             // durably logged and visible to local readers, so shipping
             // it cannot expose a follower to anything a leader restart

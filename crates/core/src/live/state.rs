@@ -142,14 +142,7 @@ impl LiveState {
     pub fn validate(&self, ev: &UpdateEvent) -> Result<(), LiveError> {
         match ev {
             UpdateEvent::AddItem { parent } => {
-                let tax = self.model.taxonomy();
-                if parent.index() >= tax.num_nodes() {
-                    return Err(taxrec_taxonomy::TaxonomyError::UnknownNode(*parent).into());
-                }
-                if tax.is_leaf(*parent) && *parent != NodeId::ROOT {
-                    return Err(taxrec_taxonomy::TaxonomyError::FrozenNode(*parent).into());
-                }
-                Ok(())
+                Ok(self.model.taxonomy().check_push_leaf(*parent)?)
             }
             UpdateEvent::FoldInUser { history, steps, .. } => {
                 if *steps > super::event::MAX_EVENT_FOLD_STEPS {
@@ -487,6 +480,75 @@ mod tests {
         let past = s.model().num_users();
         assert_eq!(s.apply(&ev(past)), Err(LiveError::UnknownUser(past)));
         assert_eq!(s.events_applied(), 0);
+    }
+
+    /// The add path as it was before `Taxonomy::push_leaf`: re-freeze
+    /// the whole arena from its parent links and rebuild the path table.
+    fn add_item_by_rebuild(s: &mut LiveState, parent: NodeId) {
+        let m = &mut s.model;
+        let mut b = taxrec_taxonomy::TaxonomyBuilder::with_capacity(m.taxonomy.num_nodes() + 1);
+        for node in m.taxonomy.node_ids().skip(1) {
+            b.add_child(m.taxonomy.parent(node).unwrap()).unwrap();
+        }
+        b.add_child(parent).unwrap();
+        m.taxonomy = Arc::new(b.freeze());
+        let zero = vec![0.0f32; m.k()];
+        m.node_factors.push_row(&zero);
+        m.next_factors.push_row(&zero);
+        m.paths = Arc::new(taxrec_taxonomy::PathTable::build(
+            &m.taxonomy,
+            m.config.taxonomy_update_levels,
+        ));
+        s.events_applied += 1;
+    }
+
+    #[test]
+    fn in_place_growth_snapshots_the_same_bytes_as_a_rebuild() {
+        use crate::live::snapshot::encode_live;
+        let (d, s0) = state();
+        let tax = s0.model().taxonomy();
+        // Parents across the arena: the first and the last category,
+        // a level-1 node and the root itself.
+        let last_interior = tax.node_ids().filter(|&n| !tax.is_leaf(n)).last().unwrap();
+        let parents = [
+            parent_of(&s0, 0),
+            last_interior,
+            NodeId(tax.nodes_at_level(1)[0]),
+            NodeId::ROOT,
+        ];
+        let mut live = s0.clone();
+        let mut reference = s0.clone();
+        for step in 0..40usize {
+            let ev = match step % 5 {
+                3 => UpdateEvent::FoldInUser {
+                    history: d.train.user(step).to_vec(),
+                    steps: 30,
+                    seed: step as u64,
+                },
+                _ => UpdateEvent::AddItem {
+                    parent: parents[step % parents.len()],
+                },
+            };
+            live.apply(&ev).unwrap();
+            match ev {
+                UpdateEvent::AddItem { parent } => add_item_by_rebuild(&mut reference, parent),
+                _ => {
+                    reference.apply(&ev).unwrap();
+                }
+            }
+            assert_eq!(
+                live.model().taxonomy(),
+                reference.model().taxonomy(),
+                "step {step}"
+            );
+            assert_eq!(
+                live.model().paths(),
+                reference.model().paths(),
+                "step {step}"
+            );
+            assert_eq!(encode_live(&live), encode_live(&reference), "step {step}");
+        }
+        assert_eq!(live.events_applied(), reference.events_applied());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! and `GET /metrics` read the very same atomics, and quantiles come
 //! from the one [`crate::histogram`] implementation.
 
+use super::state::Applied;
 use crate::obs::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 use std::time::Duration;
 
@@ -30,6 +31,9 @@ pub struct LiveStats {
     /// Per-publish cost of deriving + swapping the successor snapshot
     /// (the structural-sharing block, not the per-event apply).
     publish_latency: HistogramHandle,
+    /// `LiveState::apply` per event, by event type (`add_item`,
+    /// `fold_in`, `refold`), leader and follower alike.
+    apply_latency: [HistogramHandle; 3],
     /// WAL buffer write (`write_all`) — the first half of the ack
     /// critical path.
     wal_append: HistogramHandle,
@@ -41,6 +45,10 @@ pub struct LiveStats {
     /// Factor chunks the successor model did *not* share (copied for a
     /// mutation or freshly appended), summed over publishes.
     model_copied_chunks: Counter,
+    /// Factor bytes a publish did not share with its predecessor —
+    /// model chunks plus the derived scorer/scan tables (see
+    /// [`super::LiveEngine::copied_bytes_since`]).
+    publish_copied_bytes: Counter,
     /// 1 once the applier has dropped to read-only degraded mode after a
     /// WAL append/rotation failure; never clears without a restart.
     degraded: Gauge,
@@ -161,6 +169,13 @@ impl LiveStats {
                 "taxrec_live_publish_seconds",
                 "Per-publish cost of deriving + swapping the successor snapshot",
             ),
+            apply_latency: ["add_item", "fold_in", "refold"].map(|event| {
+                registry.histogram(
+                    "taxrec_live_apply_seconds",
+                    "LiveState::apply cost per event, by event type",
+                    &[("event", event)],
+                )
+            }),
             wal_append: h(
                 "taxrec_wal_append_seconds",
                 "WAL buffer write (write_all) latency, first half of the ack critical path",
@@ -176,6 +191,10 @@ impl LiveStats {
             model_copied_chunks: c(
                 "taxrec_live_model_copied_chunks_total",
                 "Factor chunks copied or appended across publishes",
+            ),
+            publish_copied_bytes: c(
+                "taxrec_live_publish_copied_bytes_total",
+                "Factor bytes not shared with the predecessor snapshot, summed over publishes",
             ),
             degraded: registry.gauge(
                 "taxrec_live_degraded",
@@ -233,10 +252,26 @@ impl LiveStats {
     pub(crate) fn inc_log_errors(&self) {
         self.log_errors.inc();
     }
-    pub(crate) fn record_publish(&self, took: Duration, shared_chunks: u64, copied_chunks: u64) {
+    pub(crate) fn record_publish(
+        &self,
+        took: Duration,
+        shared_chunks: u64,
+        copied_chunks: u64,
+        copied_bytes: u64,
+    ) {
         self.publish_latency.record(took);
         self.model_shared_chunks.add(shared_chunks);
         self.model_copied_chunks.add(copied_chunks);
+        self.publish_copied_bytes.add(copied_bytes);
+    }
+    /// Record one `LiveState::apply` of the given event type.
+    pub(crate) fn record_apply(&self, applied: &Applied, took: Duration) {
+        let kind = match applied {
+            Applied::ItemAdded { .. } => 0,
+            Applied::UserFolded { .. } => 1,
+            Applied::UserRefolded { .. } => 2,
+        };
+        self.apply_latency[kind].record(took);
     }
     /// Record one WAL append+flush on the ack critical path.
     pub(crate) fn record_wal(&self, append: Duration, fsync: Duration) {
@@ -300,8 +335,18 @@ mod tests {
         let stats = LiveStats::new(&reg);
         stats.inc_applied();
         stats.record_wal(Duration::from_micros(40), Duration::from_micros(900));
-        stats.record_publish(Duration::from_micros(7), 10, 2);
+        stats.record_publish(Duration::from_micros(7), 10, 2, 4096);
+        stats.record_apply(&Applied::UserFolded { user: 0 }, Duration::from_micros(300));
         let text = reg.render_prometheus();
+        assert!(
+            text.contains("taxrec_live_publish_copied_bytes_total 4096"),
+            "{text}"
+        );
+        assert!(
+            text.contains("taxrec_live_apply_seconds_count{event=\"fold_in\"} 1")
+                && text.contains("taxrec_live_apply_seconds_count{event=\"add_item\"} 0"),
+            "{text}"
+        );
         assert!(
             text.contains("taxrec_live_events_applied_total 1"),
             "{text}"

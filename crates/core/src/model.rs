@@ -413,8 +413,8 @@ impl TfModel {
 
     /// A fully independent copy: every factor chunk and the path table
     /// are reallocated; nothing is shared with `self` (the taxonomy
-    /// stays `Arc`-shared — it is immutable and replaced, never written,
-    /// on growth). This is what a publish used to cost before the
+    /// stays `Arc`-shared — growth copies it on write, never writes a
+    /// shared arena). This is what a publish used to cost before the
     /// copy-on-write storage; benches use it as the O(model) baseline
     /// and the COW property tests as an isolation control.
     pub fn deep_clone(&self) -> TfModel {

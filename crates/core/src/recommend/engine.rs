@@ -161,8 +161,9 @@ fn scan_shard(
     let k_factors = query.len();
     let mut blocks = 0u64;
     topk.reset(k);
-    // One contiguous segment offline; base + appended tail after live
-    // catalog growth, each scanned with the same blocked kernel.
+    // One contiguous segment offline; base + appended tail chunks
+    // after live catalog growth, each scanned with the same blocked
+    // kernel (a full tail chunk is exactly one `SCORE_BLOCK`).
     for (seg_start, seg) in shard.items.segments() {
         let seg_rows = seg.rows();
         let flat = seg.as_slice();
@@ -420,7 +421,10 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     /// catalog (same contract as [`Scorer::grown_from`]): the per-shard
     /// scan matrices and effective-factor tables are shared with `prev`
     /// and only rows for the appended items/nodes are computed —
-    /// publish cost is `O(change)`, not `O(catalog)`.
+    /// publish cost is `O(change)`, not `O(catalog)` and not `O(rows
+    /// added since the last compaction)` either: the appended tails are
+    /// chunk-shared, so the clone bumps refcounts and an append copies
+    /// at most the one 256-row chunk it lands in.
     ///
     /// Appended item ids extend the id space past the last shard's
     /// range, so a live `AddItem` routes to the **last shard's tail**;
@@ -531,6 +535,29 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         self.shards.iter().fold((0, 0), |(b, t), s| {
             (b + s.items.base_rows(), t + s.items.tail_rows())
         })
+    }
+
+    /// `(segments, bytes)` of the derived f32 tables that are *not*
+    /// shared by pointer with `prev`'s: the scorer's two
+    /// effective-factor tables ([`Scorer::copied_since`]), then the
+    /// dense scan matrices summed over shards. For a successor built by
+    /// [`grown_from`](Self::grown_from) this is what the publish copied
+    /// or appended — at most one tail chunk per table, or the whole
+    /// table on the publish that compacts it.
+    pub fn copied_since<N>(&self, prev: &RecommendEngine<N>) -> [(u64, u64); 3]
+    where
+        N: std::ops::Deref<Target = TfModel>,
+    {
+        let [nodes, next] = self.scorer.copied_since(&prev.scorer);
+        let scan = self
+            .shards
+            .iter()
+            .zip(&prev.shards)
+            .fold((0, 0), |(s, b), (a, p)| {
+                let (ds, db) = a.items.copied_since(&p.items);
+                (s + ds, b + db)
+            });
+        [nodes, next, scan]
     }
 
     /// `(shared, copied)` int8 shadow-matrix chunks relative to

@@ -59,7 +59,9 @@ impl<M: Deref<Target = TfModel>> Scorer<M> {
     /// [`TfModel::with_added_item`] / [`crate::live`] evolution). Only
     /// the appended nodes' effective rows are computed — `O(new × K)`
     /// instead of the full `O(nodes × K)` forward pass; existing rows
-    /// are shared with `prev` by pointer.
+    /// are shared with `prev` by pointer, base and appended tail chunks
+    /// alike, so at most one 256-row tail chunk per table is copied
+    /// however many rows earlier epochs appended.
     ///
     /// The caller guarantees the prefix property; it is cheap to uphold
     /// (every mutation in [`crate::dynamic`] and [`crate::live`] does)
@@ -110,9 +112,9 @@ impl<M: Deref<Target = TfModel>> Scorer<M> {
                 eff.push_row(&buf);
             }
         }
-        // A long-lived update stream must not degrade publishes to
-        // O(total added): once the appended tail outgrows a quarter of
-        // the shared base, fold it back into one segment.
+        // A long-lived update stream must not fragment the scan into
+        // ever more tail chunks: once the appended tail outgrows a
+        // quarter of the shared base, fold it back into one segment.
         for eff in [&mut eff_nodes, &mut eff_next] {
             if eff.tail_rows() * COMPACT_TAIL_FRACTION > eff.base_rows() {
                 eff.compact();
@@ -128,6 +130,17 @@ impl<M: Deref<Target = TfModel>> Scorer<M> {
     /// The model being scored.
     pub fn model(&self) -> &TfModel {
         &self.model
+    }
+
+    /// `(segments, bytes)` of the two effective-factor tables — long-term
+    /// first, next-item second — that are *not* shared by pointer with
+    /// `prev`'s (see [`GrowMatrix::copied_since`]): what
+    /// [`grown_from`](Self::grown_from) copied or appended.
+    pub fn copied_since<P: Deref<Target = TfModel>>(&self, prev: &Scorer<P>) -> [(u64, u64); 2] {
+        [
+            self.eff_nodes.copied_since(&prev.eff_nodes),
+            self.eff_next.copied_since(&prev.eff_next),
+        ]
     }
 
     /// Effective long-term factor of a node.

@@ -14,9 +14,14 @@
 //! test. A final cold-rebuild pass replays the recorded event log onto
 //! a fresh state and re-compares, pinning `grown engine ≡ rebuilt
 //! engine` at every shard count.
+//!
+//! A second test drives a long add stream (more than two tail chunks,
+//! across compactions at every shard count) and compares the grown
+//! engines against a cold [`RecommendEngine::new`] on the final model
+//! for the exhaustive, quantized and full-beam cascaded backends.
 
 use taxrec_core::live::{LiveEngine, LiveState, UpdateEvent};
-use taxrec_core::recommend::{Backend, RecommendEngine, RecommendRequest};
+use taxrec_core::recommend::{Backend, QuantizedConfig, RecommendEngine, RecommendRequest};
 use taxrec_core::{CascadeConfig, ModelConfig, TfTrainer};
 use taxrec_dataset::{DatasetConfig, SyntheticDataset, Transaction};
 use taxrec_taxonomy::{ItemId, NodeId};
@@ -251,4 +256,104 @@ fn sharded_serving_is_bit_identical_through_a_live_stream() {
         "scripted adds landed"
     );
     let _ = NodeId::ROOT;
+}
+
+/// A long add stream: the appended tails grow past two
+/// `COW_CHUNK_ROWS` chunks and are compacted at least once at every
+/// shard count, and at each checkpoint — around the chunk and
+/// compaction boundaries — the grown engine serves exactly what a cold
+/// engine over the same model serves.
+#[test]
+fn long_add_stream_across_compaction_matches_a_cold_engine() {
+    const ADDS: usize = 2 * taxrec_factors::COW_CHUNK_ROWS + 100;
+    let mut cfg = DatasetConfig::tiny().with_users(40);
+    cfg.shape.num_items = 2048;
+    let d = SyntheticDataset::generate(&cfg, 29);
+    let model = TfTrainer::new(
+        ModelConfig::tf(4, 1).with_factors(6).with_epochs(1),
+        &d.taxonomy,
+    )
+    .fit(&d.train, 5);
+    let tax = model.taxonomy();
+    let interior: Vec<NodeId> = tax
+        .node_ids()
+        .filter(|&n| !tax.is_leaf(n) && tax.level(n) > 0)
+        .collect();
+    let depth = tax.depth();
+    let backends = [
+        Backend::Exhaustive,
+        Backend::Quantized(QuantizedConfig::default()),
+        Backend::Cascaded(CascadeConfig::uniform(depth, 1.0)),
+    ];
+    let history: Vec<Transaction> = vec![vec![ItemId(1), ItemId(7)], vec![ItemId(12)]];
+    let exclude = [ItemId(0), ItemId(13), ItemId(2047)];
+
+    let shard_counts = [1usize, 2, 3];
+    let mut chains: Vec<Chain> = shard_counts
+        .iter()
+        .map(|&s| Chain::new(LiveState::new(model.clone()), s))
+        .collect();
+    let base_rows: Vec<usize> = chains
+        .iter()
+        .map(|c| c.engine.engine().catalog_segments().0)
+        .collect();
+    let mut multi_chunk_tail_seen = false;
+
+    for step in 1..=ADDS {
+        // Mostly one hot category (long runs inside one CSR slot), with
+        // the others mixed in.
+        let parent = interior[if step % 3 == 0 {
+            step % interior.len()
+        } else {
+            0
+        }];
+        for chain in chains.iter_mut() {
+            chain.apply(&UpdateEvent::AddItem { parent });
+        }
+        multi_chunk_tail_seen |=
+            chains[0].engine.engine().catalog_segments().1 > taxrec_factors::COW_CHUNK_ROWS;
+        let around_boundary = step % taxrec_factors::COW_CHUNK_ROWS <= 1;
+        if !(around_boundary || step == ADDS) {
+            continue;
+        }
+        let cold = RecommendEngine::new(chains[0].state.model());
+        let n_items = cold.model().num_items();
+        let n_users = cold.model().num_users();
+        for (user, hist, excl, k) in [
+            (0usize, &[][..], &[][..], 10usize),
+            (n_users / 2, &history[..], &exclude[..], 25),
+            (n_users - 1, &history[..], &[][..], n_items + 5), // full ranking
+        ] {
+            let req = RecommendRequest {
+                user,
+                history: hist,
+                k,
+                exclude: excl,
+            };
+            for backend in &backends {
+                let want = cold.recommend_with(&req, backend);
+                for chain in &chains {
+                    assert_same(
+                        &format!(
+                            "add {step} S={} {backend:?} user {user} k {k}",
+                            chain.scan_shards
+                        ),
+                        &want,
+                        &chain.engine.engine().recommend_with(&req, backend),
+                    );
+                }
+            }
+        }
+    }
+
+    assert!(multi_chunk_tail_seen, "tail never spanned two chunks");
+    for (chain, base) in chains.iter().zip(base_rows) {
+        let (now, _) = chain.engine.engine().catalog_segments();
+        assert!(
+            now > base,
+            "S={}: stream never crossed a compaction",
+            chain.scan_shards
+        );
+        assert_eq!(chain.engine.model().num_items(), 2048 + ADDS);
+    }
 }

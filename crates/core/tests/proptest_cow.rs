@@ -6,7 +6,10 @@
 //!   user's top-K;
 //! * untouched chunks are `Arc`-shared (pointer-equal) across K
 //!   successive publishes, while a mutated chunk is not — publishes
-//!   really are O(rows touched), not O(model).
+//!   really are O(rows touched), not O(model);
+//! * the same holds for the *derived* tables (effective factors, scan
+//!   shards) however long the appended tail already is: one more add
+//!   copies at most one chunk per table, a fold-in none.
 
 // The vendored proptest! macro is recursive over the body; long
 // properties need more headroom.
@@ -227,4 +230,96 @@ fn clone_shares_everything_deep_clone_shares_nothing() {
     // Both are logically identical to the original.
     assert_eq!(persist::encode(&cheap), persist::encode(&fix.model));
     assert_eq!(persist::encode(&deep), persist::encode(&fix.model));
+}
+
+/// The derived tables share their appended tails by chunk: deep into an
+/// add stream (1 000 adds on a 2 048-item catalog — a multi-chunk tail
+/// after one compaction) the successor of one more add differs from its
+/// predecessor in at most one chunk per table, and the successor of a
+/// fold-in in none. Counts, not timings: deterministic.
+#[test]
+fn derived_tables_copy_at_most_one_chunk_per_publish() {
+    let mut cfg = DatasetConfig::tiny().with_users(40);
+    cfg.shape.num_items = 2048;
+    let data = SyntheticDataset::generate(&cfg, 3);
+    let model = TfTrainer::new(
+        ModelConfig::tf(4, 1).with_factors(4).with_epochs(1),
+        &data.taxonomy,
+    )
+    .fit(&data.train, 1);
+    let tax = model.taxonomy();
+    let interior: Vec<NodeId> = tax
+        .node_ids()
+        .filter(|&n| !tax.is_leaf(n) && tax.level(n) > 0)
+        .collect();
+    let chunk_bytes = (taxrec_factors::COW_CHUNK_ROWS * model.k() * 4) as u64;
+
+    let mut state = LiveState::new(model.clone());
+    let mut engine = LiveEngine::initial(&state, Backend::Exhaustive, 1);
+    let mut compactions = 0;
+    for i in 0..1000 {
+        let parent = interior[i % interior.len()];
+        state.apply(&UpdateEvent::AddItem { parent }).unwrap();
+        let next = LiveEngine::next_from(&engine, &state);
+        let copies = next.engine().copied_since(engine.engine());
+        // A publish either appends into one chunk or compacts the table.
+        for (table, &(segments, bytes)) in copies.iter().enumerate() {
+            assert_eq!(segments, 1, "add {i} table {table}");
+            if bytes > chunk_bytes {
+                compactions += 1;
+            }
+        }
+        engine = next;
+    }
+    assert!(
+        (3..=6).contains(&compactions),
+        "{compactions} compactions over 1000 adds"
+    );
+    let (_, tail) = engine.engine().catalog_segments();
+    assert!(
+        tail > taxrec_factors::COW_CHUNK_ROWS,
+        "tail of {tail} rows must span several chunks"
+    );
+
+    // One more add: at most one chunk per derived table, and per model
+    // table (the node and next-item offset rows).
+    state
+        .apply(&UpdateEvent::AddItem {
+            parent: interior[0],
+        })
+        .unwrap();
+    let after_add = LiveEngine::next_from(&engine, &state);
+    for (table, &(segments, bytes)) in after_add
+        .engine()
+        .copied_since(engine.engine())
+        .iter()
+        .enumerate()
+    {
+        assert!(segments <= 1, "table {table}: {segments} segments copied");
+        assert!(bytes <= chunk_bytes, "table {table}: {bytes} bytes copied");
+    }
+    assert!(after_add.model().chunk_sharing_with(engine.model()).1 <= 2);
+    assert!(after_add.copied_bytes_since(&engine) <= 5 * chunk_bytes);
+    assert!(after_add.copied_bytes_since(&engine) > 0);
+
+    // A fold-in touches no derived table at all: the only copied bytes
+    // are the user table's tail chunk.
+    state
+        .apply(&UpdateEvent::FoldInUser {
+            history: data.train.user(1).to_vec(),
+            steps: 20,
+            seed: 9,
+        })
+        .unwrap();
+    let after_fold = LiveEngine::next_from(&after_add, &state);
+    assert_eq!(
+        after_fold.engine().copied_since(after_add.engine()),
+        [(0, 0); 3]
+    );
+    assert_eq!(
+        after_fold.model().chunk_sharing_with(after_add.model()).1,
+        1
+    );
+    assert!(after_fold.copied_bytes_since(&after_add) <= chunk_bytes);
+    assert!(after_fold.verify_consistent());
 }

@@ -194,13 +194,23 @@ impl CowMatrix {
     /// `other` — the proof that deriving `self` from `other` copied
     /// only the unshared ones.
     pub fn shared_chunks_with(&self, other: &CowMatrix) -> (u64, u64) {
-        let shared = self
-            .chunks
-            .iter()
-            .zip(&other.chunks)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count() as u64;
-        (shared, self.chunks.len() as u64 - shared)
+        let (copied, _) = self.copied_since(other);
+        (self.chunks.len() as u64 - copied, copied)
+    }
+
+    /// `(chunks, bytes)` of this matrix that are *not* shared by
+    /// pointer with `prev` at the same position — what deriving `self`
+    /// from `prev` had to copy or append.
+    pub fn copied_since(&self, prev: &CowMatrix) -> (u64, u64) {
+        let mut prev_chunks = prev.chunks.iter();
+        let (mut chunks, mut bytes) = (0u64, 0u64);
+        for c in &self.chunks {
+            if !prev_chunks.next().is_some_and(|p| Arc::ptr_eq(c, p)) {
+                chunks += 1;
+                bytes += std::mem::size_of_val(c.as_slice()) as u64;
+            }
+        }
+        (chunks, bytes)
     }
 }
 

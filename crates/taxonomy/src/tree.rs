@@ -1,10 +1,12 @@
-//! The immutable [`Taxonomy`] arena and its [`TaxonomyBuilder`].
+//! The [`Taxonomy`] arena and its [`TaxonomyBuilder`].
 //!
 //! Construction is two-phase: a builder accumulates parent links in
 //! insertion order (parents always precede children, so node ids are a
 //! topological order), then [`TaxonomyBuilder::freeze`] computes the
 //! derived structure once: CSR children, per-node levels, the dense
-//! item-id space over leaves, and per-level node lists.
+//! item-id space over leaves, and per-level node lists. After that the
+//! only mutation is [`Taxonomy::push_leaf`], which appends one item and
+//! keeps every derived index equal to what a rebuild would produce.
 
 use crate::error::TaxonomyError;
 use crate::node::{ItemId, NodeId};
@@ -85,7 +87,8 @@ impl TaxonomyBuilder {
     }
 }
 
-/// An immutable rooted tree over product categories and items.
+/// A rooted tree over product categories and items, append-only once
+/// frozen (see [`push_leaf`](Taxonomy::push_leaf)).
 ///
 /// Leaves are *items* and additionally carry a dense [`ItemId`] so that
 /// per-item arrays (factor matrices, popularity tables) need no hashing.
@@ -349,34 +352,75 @@ impl Taxonomy {
         (0..self.num_items() as u32).map(ItemId)
     }
 
-    /// A new taxonomy with one extra leaf under `parent` — the "new item
-    /// released today" operation behind the paper's cold-start story.
-    ///
-    /// The new node is appended at the end of the arena, so **every
-    /// existing `NodeId` and `ItemId` stays valid** and the new item
-    /// receives the next dense `ItemId`. Returns the new taxonomy plus
-    /// the ids of the added node/item.
+    /// Check that [`push_leaf`](Self::push_leaf) under `parent` would
+    /// succeed, without touching anything — callers holding the arena
+    /// behind an `Arc` run this on the shared reference so a rejected
+    /// add never triggers the copy-on-write.
     ///
     /// `parent` must be an interior node: growing a leaf would turn an
     /// existing *item* into a category and shift the whole item-id space.
-    pub fn with_added_leaf(
-        &self,
-        parent: NodeId,
-    ) -> Result<(Taxonomy, NodeId, ItemId), TaxonomyError> {
+    pub fn check_push_leaf(&self, parent: NodeId) -> Result<(), TaxonomyError> {
         if parent.index() >= self.num_nodes() {
             return Err(TaxonomyError::UnknownNode(parent));
         }
         if self.is_leaf(parent) && parent != NodeId::ROOT {
             return Err(TaxonomyError::FrozenNode(parent));
         }
-        let mut parents = self.parents.clone();
-        if parents.len() >= u32::MAX as usize {
+        if self.num_nodes() >= u32::MAX as usize {
             return Err(TaxonomyError::TooManyNodes);
         }
-        parents.push(parent.0);
-        let node = NodeId(parents.len() as u32 - 1);
-        let tax = Taxonomy::from_parents(parents);
-        let item = tax.node_item(node).expect("appended node is a leaf");
+        Ok(())
+    }
+
+    /// Grow the arena **in place** by one leaf under `parent` — the "new
+    /// item released today" operation behind the paper's cold-start
+    /// story. Returns the ids of the added node/item.
+    ///
+    /// The new node is appended at the end of the arena, so **every
+    /// existing `NodeId` and `ItemId` stays valid** and the new item
+    /// receives the next dense `ItemId`. The result equals
+    /// `from_parents(parents + [parent])` field for field, but costs one
+    /// append per flat array plus one insert at the end of the parent's
+    /// CSR run instead of a rebuild. On error nothing is modified.
+    pub fn push_leaf(&mut self, parent: NodeId) -> Result<(NodeId, ItemId), TaxonomyError> {
+        self.check_push_leaf(parent)?;
+        let p = parent.index();
+        let node = self.num_nodes() as u32;
+        let level = self.levels[p]
+            .checked_add(1)
+            .expect("taxonomy deeper than 255 levels");
+
+        // CSR: the new id is the largest, so it goes last in the
+        // parent's run; every later run (the new node's empty one
+        // included) starts one slot further right.
+        self.child_data
+            .insert(self.child_index[p + 1] as usize, node);
+        for start in &mut self.child_index[p + 1..] {
+            *start += 1;
+        }
+        self.child_index.push(self.child_data.len() as u32);
+
+        self.parents.push(parent.0);
+        self.levels.push(level);
+        self.items.push(node);
+        self.item_of.push(self.items.len() as u32);
+        if level as usize == self.by_level.len() {
+            // Only a leaf under a childless root deepens the tree.
+            self.by_level.push(Vec::new());
+        }
+        self.by_level[level as usize].push(node);
+        Ok((NodeId(node), ItemId(self.items.len() as u32 - 1)))
+    }
+
+    /// A new taxonomy with one extra leaf under `parent`: a copy of the
+    /// arena grown by [`push_leaf`](Self::push_leaf).
+    pub fn with_added_leaf(
+        &self,
+        parent: NodeId,
+    ) -> Result<(Taxonomy, NodeId, ItemId), TaxonomyError> {
+        self.check_push_leaf(parent)?;
+        let mut tax = self.clone();
+        let (node, item) = tax.push_leaf(parent)?;
         Ok((tax, node, item))
     }
 }
