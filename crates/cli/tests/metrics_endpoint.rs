@@ -366,6 +366,8 @@ fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
         ("taxrec_live_publish_seconds", "histogram"),
         ("taxrec_live_apply_seconds", "histogram"),
         ("taxrec_live_publish_copied_bytes_total", "counter"),
+        ("taxrec_live_arena_recycles_total", "counter"),
+        ("taxrec_live_arena_copies_total", "counter"),
         ("taxrec_wal_append_seconds", "histogram"),
         ("taxrec_wal_fsync_seconds", "histogram"),
         ("taxrec_scan_rows_total", "counter"),
@@ -488,6 +490,40 @@ fn apply_histograms_and_copied_bytes_move_with_each_write() {
         400
     );
     assert_eq!(scrape(&st), ([1.0, 1.0, 0.0], after_fold));
+}
+
+#[test]
+fn sequential_adds_recycle_the_taxonomy_arena() {
+    let st = observed_server(2);
+    let scrape = |st: &LiveServer| -> (f64, f64) {
+        let families = parse_prometheus(&get(st, "/metrics").body).unwrap();
+        (
+            families["taxrec_live_arena_recycles_total"].samples[0].value,
+            families["taxrec_live_arena_copies_total"].samples[0].value,
+        )
+    };
+    assert_eq!(scrape(&st), (0.0, 0.0));
+    let parent = {
+        let snap = st.live().cell().load();
+        let tax = snap.model().taxonomy();
+        tax.parent(tax.item_node(ItemId(0))).unwrap().0
+    };
+    let add = format!("{{\"parent\": {parent}}}");
+    const ADDS: usize = 12;
+    for _ in 0..ADDS {
+        assert_eq!(route(&st, "POST", "/items", add.as_bytes()).status, 200);
+    }
+    // No reader holds a snapshot across a write here, so once the first
+    // epochs have retired every add reuses the spare arena.
+    let (recycles, copies) = scrape(&st);
+    assert_eq!(recycles + copies, ADDS as f64);
+    assert!(copies <= 2.0, "{copies} arena copies in {ADDS} adds");
+    // A rejected add moves neither.
+    assert_eq!(
+        route(&st, "POST", "/items", br#"{"parent": 999999}"#).status,
+        400
+    );
+    assert_eq!(scrape(&st), (recycles, copies));
 }
 
 #[test]

@@ -36,8 +36,8 @@ impl TfModel {
         Ok((grown, item))
     }
 
-    /// In-place variant of [`with_added_item`](Self::with_added_item) —
-    /// the live applier's primitive. Grows the taxonomy arena by one
+    /// In-place variant of [`with_added_item`](Self::with_added_item).
+    /// Grows the taxonomy arena by one
     /// leaf ([`Taxonomy::push_leaf`](taxrec_taxonomy::Taxonomy::push_leaf)),
     /// appends one zero offset row to both node matrices, and appends
     /// the new item's truncated path. Every mutation is copy-on-write:
@@ -48,6 +48,15 @@ impl TfModel {
     /// keeps its meaning, factors are bit-identical, and the new item's
     /// effective factor equals its category's (the paper's Fig. 7(c)
     /// cold-start estimate).
+    ///
+    /// Copy-if-shared is the contract for offline callers (tools,
+    /// tests, [`with_added_item`](Self::with_added_item)): a model
+    /// whose arena a clone still holds pays the flat copy, one whose
+    /// `Arc`s are unique mutates in place. The live path does not call
+    /// this on a shared arena: [`crate::live::LiveState`] first swaps in
+    /// the arena of the epoch readers have finished with, brought up to
+    /// date by replaying the pushes it missed, so a served add copies
+    /// nothing in steady state.
     ///
     /// A rejected `parent` is caught on the shared taxonomy before any
     /// copy-on-write, so on error neither the model nor the arena it

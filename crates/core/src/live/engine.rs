@@ -16,7 +16,9 @@ use taxrec_taxonomy::ItemId;
 #[derive(Debug)]
 pub struct LiveEngine {
     engine: RecommendEngine<Arc<TfModel>>,
-    histories: Vec<Arc<[Transaction]>>,
+    /// Shared by pointer with the state (and with every epoch since the
+    /// last fold-in/refold).
+    histories: Arc<Vec<Arc<[Transaction]>>>,
     base_users: usize,
     base_items: usize,
     epoch: u64,
@@ -36,7 +38,7 @@ impl LiveEngine {
                 backend,
                 scan_shards,
             ),
-            histories: state.histories().to_vec(),
+            histories: state.histories_arc(),
             base_users: state.base_users(),
             base_items: state.base_items(),
             epoch: 0,
@@ -80,7 +82,7 @@ impl LiveEngine {
                 Arc::new(state.model().clone()),
                 prev.engine.backend().clone(),
             ),
-            histories: state.histories().to_vec(),
+            histories: state.histories_arc(),
             base_users: state.base_users(),
             base_items: state.base_items(),
             epoch: prev.epoch + 1,
@@ -211,5 +213,49 @@ impl LiveEngine {
             }
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ModelConfig;
+    use crate::live::UpdateEvent;
+    use taxrec_dataset::{DatasetConfig, SyntheticDataset};
+
+    #[test]
+    fn histories_are_shared_by_pointer_until_a_fold_in() {
+        let d = SyntheticDataset::generate(&DatasetConfig::tiny().with_users(60), 23);
+        let model = crate::train::TfTrainer::new(
+            ModelConfig::tf(4, 1).with_factors(6).with_epochs(1),
+            &d.taxonomy,
+        )
+        .fit(&d.train, 1);
+        let mut state = LiveState::new(model);
+        let fold = |user: usize| UpdateEvent::FoldInUser {
+            history: d.train.user(user).to_vec(),
+            steps: 20,
+            seed: user as u64,
+        };
+        state.apply(&fold(1)).unwrap();
+        let e0 = LiveEngine::initial(&state, Backend::Exhaustive, 1);
+
+        let tax = state.model().taxonomy();
+        let parent = tax.parent(tax.item_node(ItemId(0))).unwrap();
+        state.apply(&UpdateEvent::AddItem { parent }).unwrap();
+        let e1 = LiveEngine::next_from(&e0, &state);
+        assert!(Arc::ptr_eq(&e1.histories, &e0.histories));
+
+        state.apply(&fold(2)).unwrap();
+        let e2 = LiveEngine::next_from(&e1, &state);
+        assert!(!Arc::ptr_eq(&e2.histories, &e1.histories));
+        assert_eq!((e1.users_folded(), e2.users_folded()), (1, 2));
+        // The older epochs keep the vector they were published with.
+        assert!(e1.folded_history(e1.base_users() + 1).is_none());
+        assert_eq!(
+            e2.folded_history(e2.base_users() + 1).unwrap(),
+            d.train.user(2)
+        );
+        assert!(e2.verify_consistent());
     }
 }

@@ -403,6 +403,8 @@ fn applier(
     // Set when a WAL write fails: acked-but-unlogged events would break
     // the recovery law, so the applier stops accepting updates.
     let mut degraded = false;
+    // Arena counters already published, so each apply adds its delta.
+    let mut arena_seen = (state.arena_recycles(), state.arena_copies());
     loop {
         let Ok(first) = rx.recv() else { break };
         // Drain a batch: everything already queued, up to the cap, is
@@ -450,6 +452,9 @@ fn applier(
                             let t_apply = std::time::Instant::now();
                             let applied = state.apply(&ev).expect("validated event must apply");
                             stats.record_apply(&applied, t_apply.elapsed());
+                            let arena_now = (state.arena_recycles(), state.arena_copies());
+                            stats.add_arena(arena_now.0 - arena_seen.0, arena_now.1 - arena_seen.1);
+                            arena_seen = arena_now;
                             if repl.is_some() {
                                 repl_batch.push((
                                     log_buf[record_start..].to_vec(),
@@ -556,6 +561,10 @@ fn applier(
             cell.publish(next);
             stats.inc_publishes();
             stats.record_publish(t_publish.elapsed(), shared, copied, copied_bytes);
+            // Release the retired epoch now, not at the end of the
+            // block: once its readers are done, the taxonomy arena it
+            // shares with the state's spare is free for the next add.
+            drop(prev);
             // Commit to the replication stream only now: the batch is
             // durably logged and visible to local readers, so shipping
             // it cannot expose a follower to anything a leader restart

@@ -11,7 +11,42 @@ use crate::scoring::Scorer;
 use crate::tier::FoldRecipe;
 use std::sync::Arc;
 use taxrec_dataset::Transaction;
-use taxrec_taxonomy::{ItemId, NodeId};
+use taxrec_taxonomy::{ItemId, NodeId, PathTable, Taxonomy};
+
+/// Most missed adds a retired arena is brought up to date by replaying.
+/// One `push_leaf` is itself `O(nodes)` (≈ 6 µs at 32k nodes) against
+/// ≈ 190 µs for a flat copy of arena + path table, so past this many a
+/// copy is the cheaper way to catch up.
+const MAX_ARENA_LAG: usize = 16;
+
+/// The taxonomy arena and path table the model held one divergence ago,
+/// plus the parents pushed since: `spare ⊕ lag == model arena` by
+/// whole-struct `==`. Still shared with the epoch that was current when
+/// the model diverged from it; once that epoch is dropped both `Arc`s
+/// are unique and the pair can be replayed forward and reused.
+#[derive(Debug)]
+struct SpareArena {
+    taxonomy: Arc<Taxonomy>,
+    paths: Arc<PathTable>,
+    lag: Vec<NodeId>,
+}
+
+impl SpareArena {
+    /// Replay the missed pushes in place and hand the pair back — only
+    /// when nobody else can see either table (`Arc::get_mut` refuses
+    /// while an epoch, a reader or a state clone still holds one).
+    fn caught_up(mut self) -> Option<(Arc<Taxonomy>, Arc<PathTable>)> {
+        let taxonomy = Arc::get_mut(&mut self.taxonomy)?;
+        let paths = Arc::get_mut(&mut self.paths)?;
+        for &parent in &self.lag {
+            let (_node, item) = taxonomy
+                .push_leaf(parent)
+                .expect("lagging parent was accepted by the live arena");
+            paths.append_item(taxonomy, item);
+        }
+        Some((self.taxonomy, self.paths))
+    }
+}
 
 /// What one applied event produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,12 +77,19 @@ pub enum Applied {
 /// Mutated only by one owner at a time (the applier thread online, the
 /// replay loop offline); readers see immutable [`super::LiveEngine`]
 /// snapshots derived from it.
-#[derive(Debug, Clone)]
+///
+/// Adding an item while a published snapshot still shares the model's
+/// taxonomy arena does not copy it: the state keeps the arena of the
+/// epoch readers have finished with (the *spare*), replays the one or
+/// two pushes it missed, and swaps it in. Two arenas are resident; a
+/// copy happens only while a snapshot pins the spare.
+#[derive(Debug)]
 pub struct LiveState {
     model: TfModel,
     /// Histories of folded-in users, indexed by `user - base_users`.
-    /// `Arc` so snapshots share them by pointer.
-    histories: Vec<Arc<[Transaction]>>,
+    /// The vector sits behind one `Arc` so a publish shares it by
+    /// pointer; fold-in/refold diverge it (`Arc::make_mut`).
+    histories: Arc<Vec<Arc<[Transaction]>>>,
     /// Users the model was trained with; ids at or above this are
     /// folded-in live.
     base_users: usize,
@@ -55,6 +97,26 @@ pub struct LiveState {
     /// added live.
     base_items: usize,
     events_applied: u64,
+    spare: Option<SpareArena>,
+    arena_recycles: u64,
+    arena_copies: u64,
+}
+
+/// A clone starts without a spare arena: one shared between two states
+/// could never become unique, and each side would replay onto it.
+impl Clone for LiveState {
+    fn clone(&self) -> LiveState {
+        LiveState {
+            model: self.model.clone(),
+            histories: Arc::clone(&self.histories),
+            base_users: self.base_users,
+            base_items: self.base_items,
+            events_applied: self.events_applied,
+            spare: None,
+            arena_recycles: self.arena_recycles,
+            arena_copies: self.arena_copies,
+        }
+    }
 }
 
 impl LiveState {
@@ -63,13 +125,7 @@ impl LiveState {
     pub fn new(model: TfModel) -> LiveState {
         let base_users = model.num_users();
         let base_items = model.num_items();
-        LiveState {
-            model,
-            histories: Vec::new(),
-            base_users,
-            base_items,
-            events_applied: 0,
-        }
+        LiveState::from_parts(model, base_users, base_items, Vec::new())
     }
 
     /// Reconstruct a state whose folded users are already present in
@@ -88,10 +144,13 @@ impl LiveState {
         );
         LiveState {
             model,
-            histories,
+            histories: Arc::new(histories),
             base_users,
             base_items,
             events_applied: 0,
+            spare: None,
+            arena_recycles: 0,
+            arena_copies: 0,
         }
     }
 
@@ -133,6 +192,68 @@ impl LiveState {
     /// Shared handles to all folded histories, in user-id order.
     pub(crate) fn histories(&self) -> &[Arc<[Transaction]>] {
         &self.histories
+    }
+
+    /// The history vector itself, for a snapshot to share by pointer.
+    pub(crate) fn histories_arc(&self) -> Arc<Vec<Arc<[Transaction]>>> {
+        Arc::clone(&self.histories)
+    }
+
+    /// `AddItem` events that reused the retired epoch's arena (replayed
+    /// the pushes it missed) instead of copying the shared one.
+    pub fn arena_recycles(&self) -> u64 {
+        self.arena_recycles
+    }
+
+    /// `AddItem` events that had to copy the taxonomy arena and path
+    /// table: no spare yet, or a snapshot still pinned it. In steady
+    /// state this stops growing; if it keeps pace with the adds, some
+    /// reader holds a snapshot across write intervals.
+    pub fn arena_copies(&self) -> u64 {
+        self.arena_copies
+    }
+
+    /// Register an item under `parent`, reusing the spare arena when
+    /// the model's own is shared with a published snapshot.
+    fn add_item(&mut self, parent: NodeId) -> Result<ItemId, LiveError> {
+        // On the shared arena, before anything moves: a rejected add
+        // leaves model, spare, lag and counters untouched.
+        self.model.taxonomy.check_push_leaf(parent)?;
+        let unshared = Arc::get_mut(&mut self.model.taxonomy).is_some()
+            && Arc::get_mut(&mut self.model.paths).is_some();
+        if !unshared {
+            let current = SpareArena {
+                taxonomy: Arc::clone(&self.model.taxonomy),
+                paths: Arc::clone(&self.model.paths),
+                lag: Vec::new(),
+            };
+            match self.spare.replace(current).and_then(SpareArena::caught_up) {
+                Some((taxonomy, paths)) => {
+                    debug_assert!(*taxonomy == *self.model.taxonomy && *paths == *self.model.paths);
+                    self.model.taxonomy = taxonomy;
+                    self.model.paths = paths;
+                    self.arena_recycles += 1;
+                }
+                // No spare yet, or a snapshot still reads it: the new
+                // spare is the current pair and `add_item_mut` copies.
+                None => self.arena_copies += 1,
+            }
+        }
+        let shape = (self.model.taxonomy.depth(), self.model.cutoff_level);
+        let item = self.model.add_item_mut(parent)?;
+        match &mut self.spare {
+            // The lag replays plain appends: a deeper tree or a moved
+            // cutoff (`add_item_mut` rebuilt the path table) starts
+            // over, and so does an unpublished stretch past the bound.
+            Some(spare)
+                if shape == (self.model.taxonomy.depth(), self.model.cutoff_level)
+                    && spare.lag.len() < MAX_ARENA_LAG =>
+            {
+                spare.lag.push(parent)
+            }
+            _ => self.spare = None,
+        }
+        Ok(item)
     }
 
     /// Check whether `ev` would apply cleanly, without mutating
@@ -181,7 +302,7 @@ impl LiveState {
     pub fn apply(&mut self, ev: &UpdateEvent) -> Result<Applied, LiveError> {
         let applied = match ev {
             UpdateEvent::AddItem { parent } => {
-                let item = self.model.add_item_mut(*parent)?;
+                let item = self.add_item(*parent)?;
                 Applied::ItemAdded {
                     item,
                     node: self.model.taxonomy().item_node(item),
@@ -199,11 +320,13 @@ impl LiveState {
                 if let Some(bad) = history.iter().flatten().find(|i| i.index() >= n_items) {
                     return Err(LiveError::UnknownItem(bad.0));
                 }
-                // Fold against the *current* frozen factors. Building a
-                // scorer here is O(nodes × K) per fold-in; acceptable for
-                // the applier's batch cadence, and required for replay
-                // determinism (the factor depends on every item added
-                // before this event).
+                // Fold against the *current* frozen factors (replay
+                // determinism: the factor depends on every item added
+                // before this event). Building a scorer here is
+                // O(nodes × K) per fold-in — measured ≈ 2.4 ms and
+                // ~20 MB of fresh allocation per fold at 32k items ×
+                // K=64, the largest cost left on the write path. Not
+                // settled: ROADMAP item 2A, blocked on item 1.
                 let factor = {
                     let scorer = Scorer::new(&self.model);
                     fold_in_user(&scorer, history, *steps, *seed)
@@ -216,7 +339,7 @@ impl LiveState {
                     n_items,
                 };
                 let user = self.model.push_user_with_recipe(&factor, recipe);
-                self.histories.push(hist);
+                Arc::make_mut(&mut self.histories).push(hist);
                 Applied::UserFolded { user }
             }
             UpdateEvent::RefoldUser {
@@ -252,7 +375,7 @@ impl LiveState {
                     n_items,
                 };
                 self.model.set_user_factor(*user, &factor, recipe);
-                self.histories[*user - self.base_users] = hist;
+                Arc::make_mut(&mut self.histories)[*user - self.base_users] = hist;
                 Applied::UserRefolded { user: *user }
             }
         };
@@ -549,6 +672,204 @@ mod tests {
             assert_eq!(encode_live(&live), encode_live(&reference), "step {step}");
         }
         assert_eq!(live.events_applied(), reference.events_applied());
+    }
+
+    /// `spare ⊕ lag == model arena`, by whole-struct `==`, on private
+    /// copies (the spare itself is usually still shared).
+    fn assert_spare_catches_up(s: &LiveState, at: &str) {
+        let Some(spare) = &s.spare else { return };
+        assert!(spare.lag.len() <= MAX_ARENA_LAG, "{at}: lag past the bound");
+        let copy = SpareArena {
+            taxonomy: Arc::new(Taxonomy::clone(&spare.taxonomy)),
+            paths: Arc::new(PathTable::clone(&spare.paths)),
+            lag: spare.lag.clone(),
+        };
+        let (tax, paths) = copy.caught_up().expect("private copies are unique");
+        assert_eq!(&*tax, s.model().taxonomy(), "{at}: taxonomy");
+        assert_eq!(&*paths, s.model().paths(), "{at}: path table");
+    }
+
+    fn add(s: &mut LiveState, parent: NodeId) {
+        s.apply(&UpdateEvent::AddItem { parent }).unwrap();
+    }
+
+    #[test]
+    fn steady_alternation_recycles_after_the_first_copies() {
+        let (_, mut s) = state();
+        let mut reference = s.clone();
+        let parents = [parent_of(&s, 0), parent_of(&s, 40), NodeId::ROOT];
+        // The applier's cadence: publish, release the epoch before
+        // last, apply the next add.
+        let mut published = s.model().clone();
+        for step in 0..60usize {
+            let parent = parents[step % parents.len()];
+            let copies = s.arena_copies();
+            add(&mut s, parent);
+            add_item_by_rebuild(&mut reference, parent);
+            assert_spare_catches_up(&s, &format!("step {step}"));
+            assert_eq!(s.model().taxonomy(), reference.model().taxonomy());
+            assert_eq!(s.model().paths(), reference.model().paths());
+            if step >= 2 {
+                assert_eq!(s.arena_copies(), copies, "step {step} copied");
+            }
+            published = s.model().clone();
+        }
+        drop(published);
+        assert!(s.arena_copies() <= 2, "{} copies", s.arena_copies());
+        assert_eq!(s.arena_recycles() + s.arena_copies(), 60);
+    }
+
+    #[test]
+    fn pinned_snapshots_force_copies_and_are_never_written() {
+        use crate::persist::encode;
+        let (_, mut s) = state();
+        let parent = parent_of(&s, 0);
+        // One reader holding one epoch across the whole stream costs at
+        // most one extra copy: the spare moves past the pinned arena.
+        let slow = s.model().clone();
+        let slow_bytes = encode(&slow);
+        let mut published = s.model().clone();
+        for step in 0..100usize {
+            add(&mut s, parent);
+            assert_spare_catches_up(&s, &format!("step {step}"));
+            published = s.model().clone();
+        }
+        drop(published);
+        assert!(s.arena_copies() <= 3, "{} copies", s.arena_copies());
+        assert_eq!(encode(&slow), slow_bytes);
+        // Every epoch held: nothing retires any more, so after the one
+        // spare that is already free every add copies, and no held
+        // arena moves.
+        let (recycles, copies) = (s.arena_recycles(), s.arena_copies());
+        let mut held = Vec::new();
+        for step in 0..100usize {
+            let m = s.model().clone();
+            held.push((encode(&m), m));
+            add(&mut s, parent);
+            assert_spare_catches_up(&s, &format!("held step {step}"));
+        }
+        assert_eq!(s.arena_recycles(), recycles + 1);
+        assert_eq!(s.arena_copies(), copies + 99);
+        for (bytes, m) in &held {
+            assert_eq!(&encode(m), bytes);
+        }
+    }
+
+    #[test]
+    fn a_lag_past_the_bound_copies_instead_of_replaying() {
+        let (_, mut s) = state();
+        let parent = parent_of(&s, 0);
+        let published = s.model().clone();
+        add(&mut s, parent);
+        assert!(s.spare.is_some());
+        drop(published);
+        // An unpublished stretch mutates in place and only lengthens
+        // the lag — up to the bound, then the spare is let go.
+        for _ in 0..MAX_ARENA_LAG - 1 {
+            add(&mut s, parent);
+        }
+        assert_eq!(s.spare.as_ref().unwrap().lag.len(), MAX_ARENA_LAG);
+        assert_spare_catches_up(&s, "at the bound");
+        add(&mut s, parent);
+        assert!(s.spare.is_none(), "lag of 17 must drop the spare");
+        let (recycles, copies) = (s.arena_recycles(), s.arena_copies());
+        let _published = s.model().clone();
+        add(&mut s, parent);
+        assert_eq!(
+            (s.arena_recycles(), s.arena_copies()),
+            (recycles, copies + 1)
+        );
+    }
+
+    #[test]
+    fn a_cloned_state_starts_without_a_spare() {
+        use crate::live::snapshot::encode_live;
+        let (_, mut a) = state();
+        let parent = parent_of(&a, 0);
+        let _published = a.model().clone();
+        add(&mut a, parent);
+        assert!(a.spare.is_some());
+        let mut b = a.clone();
+        assert!(b.spare.is_none());
+        for step in 0..8 {
+            // Each side publishes and adds on its own; neither may see
+            // the other's pushes.
+            let (pa, pb) = (a.model().clone(), b.model().clone());
+            add(&mut a, parent);
+            add(&mut b, NodeId::ROOT);
+            add(&mut b, parent);
+            drop((pa, pb));
+            assert_spare_catches_up(&a, &format!("a {step}"));
+            assert_spare_catches_up(&b, &format!("b {step}"));
+        }
+        let mut want_a = LiveState::new(state().1.model().clone());
+        let mut want_b = want_a.clone();
+        add_item_by_rebuild(&mut want_a, parent);
+        add_item_by_rebuild(&mut want_b, parent);
+        for _ in 0..8 {
+            add_item_by_rebuild(&mut want_a, parent);
+            add_item_by_rebuild(&mut want_b, NodeId::ROOT);
+            add_item_by_rebuild(&mut want_b, parent);
+        }
+        assert_eq!(encode_live(&a), encode_live(&want_a));
+        assert_eq!(encode_live(&b), encode_live(&want_b));
+    }
+
+    #[test]
+    fn growth_from_a_root_only_model_drops_the_spare() {
+        let root_only = Arc::new(taxrec_taxonomy::TaxonomyBuilder::new().freeze());
+        let cfg = ModelConfig::tf(2, 0).with_factors(4);
+        let mut s = LiveState::new(TfModel::init(cfg.clone(), root_only, 3, 1));
+        let mut published = s.model().clone();
+        for step in 0..5 {
+            add(&mut s, NodeId::ROOT);
+            // The first add deepens the tree and rebuilds the path
+            // table: a spare seeded before it must not survive.
+            assert_eq!(s.spare.is_some(), step > 0, "step {step}");
+            assert_spare_catches_up(&s, &format!("step {step}"));
+            let fresh = TfModel::init(cfg.clone(), s.model().taxonomy_arc(), 3, 1);
+            assert_eq!(s.model().paths(), fresh.paths());
+            assert_eq!(s.model().cutoff_level(), fresh.cutoff_level());
+            published = s.model().clone();
+        }
+        drop(published);
+        assert_eq!(s.model().num_items(), 5);
+        assert!(s.arena_recycles() >= 2);
+    }
+
+    #[test]
+    fn a_rejected_add_leaves_arena_spare_and_counters_untouched() {
+        let (_, mut s) = state();
+        let parent = parent_of(&s, 0);
+        let leaf = s.model().taxonomy().item_node(ItemId(0));
+        for _ in 0..3 {
+            let _published = s.model().clone();
+            add(&mut s, parent);
+        }
+        let published = s.model().clone();
+        let spare = s.spare.as_ref().unwrap();
+        let before = (
+            Arc::as_ptr(&spare.taxonomy),
+            Arc::as_ptr(&spare.paths),
+            spare.lag.clone(),
+            s.arena_recycles(),
+            s.arena_copies(),
+        );
+        for bad in [leaf, NodeId(u32::MAX)] {
+            assert!(s.apply(&UpdateEvent::AddItem { parent: bad }).is_err());
+        }
+        let spare = s.spare.as_ref().unwrap();
+        let after = (
+            Arc::as_ptr(&spare.taxonomy),
+            Arc::as_ptr(&spare.paths),
+            spare.lag.clone(),
+            s.arena_recycles(),
+            s.arena_copies(),
+        );
+        assert_eq!(before, after);
+        assert!(Arc::ptr_eq(&s.model.taxonomy, &published.taxonomy));
+        assert!(Arc::ptr_eq(&s.model.paths, &published.paths));
+        assert_eq!(s.events_applied(), 3);
     }
 
     #[test]

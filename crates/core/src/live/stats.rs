@@ -49,6 +49,12 @@ pub struct LiveStats {
     /// model chunks plus the derived scorer/scan tables (see
     /// [`super::LiveEngine::copied_bytes_since`]).
     publish_copied_bytes: Counter,
+    /// `AddItem` applies that reused the retired epoch's taxonomy arena
+    /// (see [`super::LiveState::arena_recycles`]).
+    arena_recycles: Counter,
+    /// `AddItem` applies that copied the arena because no spare was
+    /// free — keeps growing only while a snapshot is pinned.
+    arena_copies: Counter,
     /// 1 once the applier has dropped to read-only degraded mode after a
     /// WAL append/rotation failure; never clears without a restart.
     degraded: Gauge,
@@ -196,6 +202,14 @@ impl LiveStats {
                 "taxrec_live_publish_copied_bytes_total",
                 "Factor bytes not shared with the predecessor snapshot, summed over publishes",
             ),
+            arena_recycles: c(
+                "taxrec_live_arena_recycles_total",
+                "AddItem applies that reused the retired epoch's taxonomy arena",
+            ),
+            arena_copies: c(
+                "taxrec_live_arena_copies_total",
+                "AddItem applies that copied the taxonomy arena (no free spare: first adds, or a pinned snapshot)",
+            ),
             degraded: registry.gauge(
                 "taxrec_live_degraded",
                 "1 when the applier is read-only degraded after a WAL failure",
@@ -273,6 +287,11 @@ impl LiveStats {
         };
         self.apply_latency[kind].record(took);
     }
+    /// Add what the last apply moved of the state's arena counters.
+    pub(crate) fn add_arena(&self, recycles: u64, copies: u64) {
+        self.arena_recycles.add(recycles);
+        self.arena_copies.add(copies);
+    }
     /// Record one WAL append+flush on the ack critical path.
     pub(crate) fn record_wal(&self, append: Duration, fsync: Duration) {
         self.wal_append.record(append);
@@ -337,7 +356,13 @@ mod tests {
         stats.record_wal(Duration::from_micros(40), Duration::from_micros(900));
         stats.record_publish(Duration::from_micros(7), 10, 2, 4096);
         stats.record_apply(&Applied::UserFolded { user: 0 }, Duration::from_micros(300));
+        stats.add_arena(3, 1);
         let text = reg.render_prometheus();
+        assert!(
+            text.contains("taxrec_live_arena_recycles_total 3")
+                && text.contains("taxrec_live_arena_copies_total 1"),
+            "{text}"
+        );
         assert!(
             text.contains("taxrec_live_publish_copied_bytes_total 4096"),
             "{text}"

@@ -51,7 +51,9 @@ pub struct TfModel {
     pub(crate) next_factors: CowMatrix,
     /// Item root paths truncated to `U` levels. `Arc`-shared across
     /// clones; [`crate::dynamic`]'s item growth appends via
-    /// `Arc::make_mut` (copy-on-write, once per divergence).
+    /// `Arc::make_mut` (copy-on-write, once per divergence). The live
+    /// state swaps this and `taxonomy` for its caught-up spare pair
+    /// instead of diverging (`live/state.rs`).
     pub(crate) paths: Arc<PathTable>,
     /// Nodes at level ≥ `cutoff_level` carry factors; shallower nodes are
     /// outside the configured `taxonomyUpdateLevels` and contribute 0.

@@ -262,7 +262,9 @@ fn sharded_serving_is_bit_identical_through_a_live_stream() {
 /// `COW_CHUNK_ROWS` chunks and are compacted at least once at every
 /// shard count, and at each checkpoint — around the chunk and
 /// compaction boundaries — the grown engine serves exactly what a cold
-/// engine over the same model serves.
+/// engine over the same model serves. Every add goes through
+/// [`LiveState::apply`] with a publish behind it, which is the schedule
+/// that recycles the taxonomy arena.
 #[test]
 fn long_add_stream_across_compaction_matches_a_cold_engine() {
     const ADDS: usize = 2 * taxrec_factors::COW_CHUNK_ROWS + 100;
@@ -355,5 +357,19 @@ fn long_add_stream_across_compaction_matches_a_cold_engine() {
             chain.scan_shards
         );
         assert_eq!(chain.engine.model().num_items(), 2048 + ADDS);
+        // `Chain::apply` publishes after every add and drops the epoch
+        // before, so past the first two copies every add ran on the
+        // retired epoch's arena with the missed push replayed — the
+        // arena `Cascaded` walked the child lists of at each checkpoint.
+        assert_eq!(
+            chain.state.arena_recycles() + chain.state.arena_copies(),
+            ADDS as u64
+        );
+        assert!(
+            chain.state.arena_copies() <= 2,
+            "S={}: {} arena copies",
+            chain.scan_shards,
+            chain.state.arena_copies()
+        );
     }
 }
