@@ -8,6 +8,7 @@
 
 use crate::json::{self, json_str, Json};
 use crate::serve::{LiveServer, ReplRole};
+use std::fmt::Write;
 use taxrec_core::live::{LiveError, UpdateEvent};
 use taxrec_core::{Backend, CascadeConfig, RecommendRequest};
 use taxrec_dataset::Transaction;
@@ -96,22 +97,23 @@ fn backend_from(cascade: Option<&str>, depth: usize, default: &Backend) -> Backe
     }
 }
 
-/// One user's recommendations as a JSON object.
-fn user_json(server: &LiveServer, user: usize, recs: &[(ItemId, f32)]) -> String {
-    let items: Vec<String> = recs
-        .iter()
-        .map(|(i, s)| {
-            format!(
-                "{{\"item\":{},\"id\":{},\"score\":{s:.4}}}",
-                json_str(&server.item_label(*i)),
-                i.0
-            )
-        })
-        .collect();
-    format!(
-        "{{\"user\":{user},\"recommendations\":[{}]}}",
-        items.join(",")
-    )
+/// Append one user's recommendations to `out` as a JSON object.
+fn write_user_json(out: &mut String, server: &LiveServer, user: usize, recs: &[(ItemId, f32)]) {
+    out.reserve(40 + 56 * recs.len());
+    let _ = write!(out, "{{\"user\":{user},\"recommendations\":[");
+    for (n, (i, s)) in recs.iter().enumerate() {
+        out.push_str(if n == 0 { "{\"item\":" } else { ",{\"item\":" });
+        server.write_item_label(out, *i);
+        let _ = write!(out, ",\"id\":{},\"score\":{s:.4}}}", i.0);
+    }
+    out.push_str("]}");
+}
+
+/// One user's recommendations as a response.
+fn user_response(server: &LiveServer, user: usize, recs: &[(ItemId, f32)]) -> Response {
+    let mut body = String::new();
+    write_user_json(&mut body, server, user, recs);
+    Response::ok(body)
 }
 
 fn live_error_response(e: LiveError) -> Response {
@@ -237,7 +239,7 @@ pub fn route(server: &LiveServer, method: &str, path_query: &str, body: &[u8]) -
                     &mut t,
                 );
                 let t_frame = t.clock();
-                let resp = Response::ok(user_json(server, user, &recs));
+                let resp = user_response(server, user, &recs);
                 t.close("response_framing", t_frame);
                 tracer.finish(t);
                 return resp;
@@ -252,7 +254,7 @@ pub fn route(server: &LiveServer, method: &str, path_query: &str, body: &[u8]) -
                 },
                 &backend,
             );
-            Response::ok(user_json(server, user, &recs))
+            user_response(server, user, &recs)
         }
         "/recommend/batch" => {
             let Some(spec) = get_param("users") else {
@@ -293,17 +295,19 @@ pub fn route(server: &LiveServer, method: &str, path_query: &str, body: &[u8]) -
             let results = snap
                 .engine()
                 .recommend_batch_with(&requests, threads, &backend);
-            let body: Vec<String> = users
-                .iter()
-                .zip(&results)
-                .map(|(&u, recs)| user_json(server, u, recs))
-                .collect();
-            Response::ok(format!(
-                "{{\"batch\":{},\"epoch\":{},\"results\":[{}]}}",
+            let mut body = format!(
+                "{{\"batch\":{},\"epoch\":{},\"results\":[",
                 users.len(),
                 snap.epoch(),
-                body.join(",")
-            ))
+            );
+            for (n, (&u, recs)) in users.iter().zip(&results).enumerate() {
+                if n > 0 {
+                    body.push(',');
+                }
+                write_user_json(&mut body, server, u, recs);
+            }
+            body.push_str("]}");
+            Response::ok(body)
         }
         "/categories" => {
             let Some(user) = get_param("user").and_then(|v| v.parse::<usize>().ok()) else {

@@ -14,6 +14,8 @@
 //! non-finite numbers become `null`, so no report can ever contain
 //! invalid JSON no matter what path names or NaN metrics flow into it.
 
+use std::fmt::Write;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -150,21 +152,28 @@ impl Json {
     }
 }
 
-/// Encode `s` as a JSON string literal (quotes included) — the one
-/// escaper every JSON-emitting path in the CLI shares.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` to `out` as a JSON string literal (quotes included) —
+/// the one escaper every JSON-emitting path in the CLI shares.
+pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Encode `s` as a JSON string literal (quotes included).
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_str(&mut out, s);
     out
 }
 

@@ -260,11 +260,16 @@ impl LiveServer {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 
-    pub(crate) fn item_label(&self, i: ItemId) -> String {
-        self.item_names
-            .as_ref()
-            .and_then(|n| n.get(i.index()).cloned())
-            .unwrap_or_else(|| format!("{i}"))
+    /// Append item `i`'s label to `out` as a JSON string literal.
+    pub(crate) fn write_item_label(&self, out: &mut String, i: ItemId) {
+        use std::fmt::Write;
+        match self.item_names.as_ref().and_then(|n| n.get(i.index())) {
+            Some(name) => crate::json::write_json_str(out, name),
+            // `i<id>` holds nothing to escape.
+            None => {
+                let _ = write!(out, "\"{i}\"");
+            }
+        }
     }
 
     /// The history a user's Markov term conditions on: the training log
@@ -892,6 +897,41 @@ mod tests {
     #[test]
     fn json_escaping() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    }
+
+    #[test]
+    fn item_labels_are_escaped_into_the_body() {
+        let d = SyntheticDataset::generate(&DatasetConfig::tiny().with_users(20), 3);
+        let model =
+            taxrec_core::untrained_model(ModelConfig::tf(4, 1).with_factors(4), &d.taxonomy, 20, 1);
+        // Names for the first half of the catalog only: the rest fall
+        // back to `i<id>`.
+        let names: Vec<String> = (0..model.num_items() / 2)
+            .map(|i| format!("say \"{i}\"\\\n"))
+            .collect();
+        let top = model.num_items();
+        let st = LiveServer::new(
+            LiveState::new(model),
+            d.train,
+            Some(names),
+            LiveConfig::default(),
+        )
+        .unwrap();
+        for path in [
+            format!("/recommend?user=0&top={top}"),
+            format!("/recommend/batch?users=0-2&top={top}"),
+        ] {
+            let body = get(&st, &path).body;
+            assert!(
+                body.contains(r#"{"item":"say \"7\"\\\n","id":7,"#),
+                "{body}"
+            );
+            assert!(
+                body.contains(&format!(r#"{{"item":"i{0}","id":{0},"#, top - 1)),
+                "{body}"
+            );
+            crate::json::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+        }
     }
 
     #[test]

@@ -375,6 +375,9 @@ fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
         ("taxrec_scan_busy_us_total", "counter"),
         ("taxrec_quant_pool_scans_total", "counter"),
         ("taxrec_quant_rescored_rows_total", "counter"),
+        ("taxrec_cascade_requests_total", "counter"),
+        ("taxrec_cascade_scored_nodes_total", "counter"),
+        ("taxrec_cascade_kept_leaves_total", "counter"),
     ] {
         let fam = families
             .get(family)
@@ -490,6 +493,63 @@ fn apply_histograms_and_copied_bytes_move_with_each_write() {
         400
     );
     assert_eq!(scrape(&st), ([1.0, 1.0, 0.0], after_fold));
+}
+
+#[test]
+fn cascade_counters_move_only_on_cascaded_reads() {
+    let st = observed_server(2);
+    // (requests, scored nodes, kept leaves) as `/metrics` reports them.
+    let scrape = |st: &LiveServer| -> [f64; 3] {
+        let families = parse_prometheus(&get(st, "/metrics").body).unwrap();
+        [
+            "taxrec_cascade_requests_total",
+            "taxrec_cascade_scored_nodes_total",
+            "taxrec_cascade_kept_leaves_total",
+        ]
+        .map(|family| {
+            assert_eq!(families[family].kind, "counter", "{family}");
+            families[family].samples[0].value
+        })
+    };
+    let catalog = st.live().cell().load().model().num_items() as f64;
+    assert_eq!(scrape(&st), [0.0; 3]);
+
+    // The default scan is not a cascade, and neither is `cascade=1.0`
+    // (the router serves it through the default backend).
+    assert_eq!(get(&st, "/recommend?user=1&top=5").status, 200);
+    assert_eq!(get(&st, "/recommend?user=1&top=5&cascade=1.0").status, 200);
+    assert_eq!(get(&st, "/recommend/batch?users=0-3&top=5").status, 200);
+    assert_eq!(scrape(&st), [0.0; 3]);
+
+    // A pruning beam scores less than the catalog and ranks no more
+    // leaves than the request can use.
+    assert_eq!(get(&st, "/recommend?user=1&top=5&cascade=0.3").status, 200);
+    let [requests, scored, kept] = scrape(&st);
+    assert_eq!(requests, 1.0);
+    assert!(
+        scored > 0.0 && scored < catalog,
+        "scored {scored} of {catalog}"
+    );
+    // `observed_server`'s log: what user 1 bought is excluded.
+    let bought = SyntheticDataset::generate(&DatasetConfig::tiny().with_users(100), 3)
+        .train
+        .distinct_items(1)
+        .len() as f64;
+    assert!(kept >= 5.0 && kept <= 5.0 + bought, "kept {kept}");
+
+    // A beam that prunes nothing scores every leaf plus the levels
+    // above them; one count per user of a batch.
+    assert_eq!(
+        get(&st, "/recommend/batch?users=0-3&top=5&cascade=0.9999").status,
+        200
+    );
+    let [requests, wide, _] = scrape(&st);
+    assert_eq!(requests, 5.0);
+    assert!(
+        wide - scored >= 4.0 * catalog,
+        "full beams scored {} nodes over {catalog} items",
+        wide - scored
+    );
 }
 
 #[test]

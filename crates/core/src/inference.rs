@@ -7,16 +7,27 @@
 //! their children, and recurse. The kept fractions trade accuracy for
 //! work — Fig. 8(c,d) — and the per-level rankings double as the paper's
 //! "structured" (category-level) recommendations.
+//!
+//! One implementation serves both callers: [`cascade`] (evaluation and
+//! the figure binaries, every level's ranking collected) and the
+//! recommend engine's `Backend::Cascaded` (a `Beam` in the per-worker
+//! scratch, bounded to the `k + |exclude|` leaves a request can use).
+//! A walk costs one gather-dot per scored node plus, per level, a
+//! selection of the kept candidates and a sort of those only —
+//! `O(n + keep·log keep)` instead of a full sort — and allocates
+//! nothing once its buffers have grown.
 
 use crate::model::TfModel;
 use crate::scoring::Scorer;
 use std::cmp::Ordering;
-use taxrec_taxonomy::{ItemId, NodeId};
+use taxrec_taxonomy::{ItemId, NodeId, Taxonomy};
 
 /// Per-level keep fractions `k_i ∈ [0, 1]` for levels `1..=depth`.
 ///
 /// `n_i = max(1, ⌈k_i · size(level i)⌉)` nodes are kept at level `i`
-/// (clamped to the current frontier).
+/// (clamped to the current frontier). The budget is measured against
+/// the *whole* level, not the frontier: where the kept categories hold
+/// fewer than `n_i` children between them, level `i` prunes nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadeConfig {
     /// One fraction per taxonomy level below the root.
@@ -55,7 +66,7 @@ impl CascadeConfig {
 /// Outcome of one cascaded inference pass.
 #[derive(Debug, Clone)]
 pub struct CascadeResult {
-    /// Ranked items that survived to the leaf level, best first.
+    /// Ranked items the beam kept, best first.
     pub items: Vec<(ItemId, f32)>,
     /// Ranked kept nodes per level (index 0 = taxonomy level 1) — the
     /// structured category recommendation.
@@ -72,54 +83,175 @@ impl CascadeResult {
     }
 }
 
+/// One scored node of a beam level.
+#[derive(Debug, Clone, Copy)]
+struct Cand {
+    score: f32,
+    /// Index in the level's frontier: the tie-break under which an
+    /// unstable selection reproduces a stable sort by score.
+    pos: u32,
+    node: u32,
+}
+
+/// The beam's total order: score descending, frontier position
+/// ascending.
+fn beam_cmp(a: &Cand, b: &Cand) -> Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .unwrap_or(Ordering::Equal)
+        .then(a.pos.cmp(&b.pos))
+}
+
+/// The cascaded walk over reusable buffers: after the first request a
+/// walk allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Beam {
+    frontier: Vec<u32>,
+    scored: Vec<Cand>,
+    /// Kept childless nodes — the walk's result, best first.
+    leaves: Vec<Cand>,
+}
+
+impl Beam {
+    /// Rank the taxonomy level by level, expanding only the kept nodes.
+    /// Afterwards `self.leaves` holds the best `leaf_limit` kept leaves,
+    /// best first; returns the number of nodes scored.
+    ///
+    /// Per level the frontier is scored, the best `keep` candidates
+    /// under [`beam_cmp`] are selected (`min(keep, leaf_limit)` on the
+    /// bottom level, whose nodes are only ever results) and only those
+    /// are sorted. A kept node without children is an item wherever it
+    /// sits: it joins the results instead of being expanded, and
+    /// results from several levels merge under (score desc, level asc,
+    /// position asc).
+    fn walk<M: std::ops::Deref<Target = TfModel>>(
+        &mut self,
+        scorer: &Scorer<M>,
+        query: &[f32],
+        config: &CascadeConfig,
+        leaf_limit: usize,
+        mut per_level: Option<&mut Vec<Vec<(NodeId, f32)>>>,
+    ) -> usize {
+        let tax = scorer.model().taxonomy();
+        let depth = tax.depth();
+        let mut scored_nodes = 0usize;
+        // Whether leaves of more than one level are waiting to be merged.
+        let mut mixed_levels = false;
+        self.leaves.clear();
+
+        // Frontier starts at level 1 (children of the root).
+        self.frontier.clear();
+        self.frontier.extend_from_slice(tax.children(NodeId::ROOT));
+        for level in 1..=depth {
+            self.scored.clear();
+            self.scored
+                .extend(self.frontier.iter().enumerate().map(|(pos, &node)| Cand {
+                    score: scorer.score_node(query, NodeId(node)),
+                    pos: pos as u32,
+                    node,
+                }));
+            scored_nodes += self.scored.len();
+
+            let fraction = config.fraction(level);
+            let level_size = tax.nodes_at_level(level).len().max(1);
+            // At least one node while the fraction is positive — but an
+            // empty frontier (every kept node above was childless)
+            // keeps nothing.
+            let keep = ((fraction * level_size as f64).ceil() as usize)
+                .max(usize::from(fraction > 0.0))
+                .min(self.scored.len());
+            let limit = if level == depth {
+                keep.min(leaf_limit)
+            } else {
+                keep
+            };
+            if limit < self.scored.len() {
+                if limit > 0 {
+                    self.scored.select_nth_unstable_by(limit - 1, beam_cmp);
+                }
+                self.scored.truncate(limit);
+            }
+            self.scored.sort_unstable_by(beam_cmp);
+            if let Some(per_level) = per_level.as_deref_mut() {
+                per_level.push(
+                    self.scored
+                        .iter()
+                        .map(|c| (NodeId(c.node), c.score))
+                        .collect(),
+                );
+            }
+
+            self.frontier.clear();
+            let leaves_before = self.leaves.len();
+            for cand in &self.scored {
+                let children = tax.children(NodeId(cand.node));
+                if children.is_empty() {
+                    self.leaves.push(*cand);
+                } else {
+                    self.frontier.extend_from_slice(children);
+                }
+            }
+            mixed_levels |= leaves_before > 0 && self.leaves.len() > leaves_before;
+        }
+
+        if mixed_levels {
+            // Leaves were pushed level by level in rank order, so a
+            // stable sort by score alone breaks ties by (level, pos).
+            self.leaves
+                .sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal));
+        }
+        self.leaves.truncate(leaf_limit);
+        scored_nodes
+    }
+
+    /// The walk's result as `(item, score)` pairs, best first.
+    fn items<'a>(&'a self, tax: &'a Taxonomy) -> impl Iterator<Item = (ItemId, f32)> + 'a {
+        self.leaves
+            .iter()
+            .filter_map(|c| tax.node_item(NodeId(c.node)).map(|i| (i, c.score)))
+    }
+
+    /// Cascaded top-`k` into `out`, skipping `exclude` (sorted
+    /// ascending). At most `|exclude|` of the best `k + |exclude|`
+    /// leaves can be filtered, so the walk never ranks more than that.
+    /// Returns `(nodes scored, leaves ranked)`.
+    pub(crate) fn top_items_into<M: std::ops::Deref<Target = TfModel>>(
+        &mut self,
+        scorer: &Scorer<M>,
+        query: &[f32],
+        config: &CascadeConfig,
+        k: usize,
+        exclude: &[ItemId],
+        out: &mut Vec<(ItemId, f32)>,
+    ) -> (usize, usize) {
+        let leaf_limit = k.saturating_add(exclude.len());
+        let scored_nodes = self.walk(scorer, query, config, leaf_limit, None);
+        out.clear();
+        out.extend(
+            self.items(scorer.model().taxonomy())
+                .filter(|(i, _)| exclude.binary_search(i).is_err())
+                .take(k),
+        );
+        (scored_nodes, self.leaves.len())
+    }
+}
+
 /// Run cascaded inference for a prepared query vector.
+///
+/// Nodes scoring equal rank in frontier order (children of a
+/// better-ranked parent first, siblings by node id). Items sitting
+/// above the bottom level are results of the level that keeps them.
 pub fn cascade<M: std::ops::Deref<Target = TfModel>>(
     scorer: &Scorer<M>,
     query: &[f32],
     config: &CascadeConfig,
 ) -> CascadeResult {
     let tax = scorer.model().taxonomy();
-    let depth = tax.depth();
-    let mut per_level: Vec<Vec<(NodeId, f32)>> = Vec::with_capacity(depth);
-    let mut scored_nodes = 0usize;
-
-    // Frontier starts at level 1 (children of the root).
-    let mut frontier: Vec<NodeId> = tax.children_ids(NodeId::ROOT).collect();
-    for level in 1..=depth {
-        let mut scored: Vec<(NodeId, f32)> = frontier
-            .iter()
-            .map(|&n| (n, scorer.score_node(query, n)))
-            .collect();
-        scored_nodes += scored.len();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal));
-
-        let level_size = tax.nodes_at_level(level).len().max(1);
-        let keep = ((config.fraction(level) * level_size as f64).ceil() as usize).clamp(
-            if config.fraction(level) > 0.0 { 1 } else { 0 },
-            scored.len(),
-        );
-        scored.truncate(keep);
-
-        frontier = scored
-            .iter()
-            .flat_map(|(n, _)| tax.children_ids(*n))
-            .collect();
-        per_level.push(scored);
-    }
-
-    // The last level's kept nodes are leaves = items.
-    let items: Vec<(ItemId, f32)> = per_level
-        .last()
-        .map(|leafs| {
-            leafs
-                .iter()
-                .filter_map(|&(n, s)| tax.node_item(n).map(|i| (i, s)))
-                .collect()
-        })
-        .unwrap_or_default();
-
+    let mut beam = Beam::default();
+    let mut per_level = Vec::with_capacity(tax.depth());
+    let scored_nodes = beam.walk(scorer, query, config, usize::MAX, Some(&mut per_level));
     CascadeResult {
-        items,
+        items: beam.items(tax).collect(),
         per_level,
         scored_nodes,
     }
@@ -175,7 +307,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
-    use taxrec_taxonomy::{Taxonomy, TaxonomyGenerator, TaxonomyShape};
+    use taxrec_taxonomy::{Taxonomy, TaxonomyBuilder, TaxonomyGenerator, TaxonomyShape};
 
     fn tax() -> Arc<Taxonomy> {
         Arc::new(
@@ -273,6 +405,149 @@ mod tests {
             );
         }
         assert!(res.items.len() < m.num_items());
+    }
+
+    /// Items under the root, under a level-1 category and under a
+    /// level-2 category, beside a regular bottom level.
+    fn shallow_fixture() -> TfModel {
+        let mut b = TaxonomyBuilder::new();
+        let cats = b.add_children(b.root(), 3).unwrap();
+        b.add_children(b.root(), 3).unwrap(); // items under the root
+        for &c in &cats {
+            let subs = b.add_children(c, 2).unwrap();
+            b.add_children(c, 2).unwrap(); // items under level 1
+            for &s in &subs {
+                let subsubs = b.add_children(s, 2).unwrap();
+                b.add_child(s).unwrap(); // item under level 2
+                for &ss in &subsubs {
+                    b.add_children(ss, 3).unwrap();
+                }
+            }
+        }
+        let cfg = ModelConfig::tf(5, 0)
+            .with_factors(6)
+            .with_node_init_sigma(0.1);
+        TfModel::init(cfg, Arc::new(b.freeze()), 8, 5)
+    }
+
+    #[test]
+    fn full_beam_reaches_items_above_the_bottom_level() {
+        let m = shallow_fixture();
+        let tax = m.taxonomy();
+        assert!((1..=3).all(|l| tax
+            .nodes_at_level(l)
+            .iter()
+            .any(|&n| tax.is_leaf(NodeId(n)))));
+        let s = Scorer::new(&m);
+        for u in 0..m.num_users() {
+            let q = s.query(u, &[]);
+            let res = cascade(&s, &q, &CascadeConfig::uniform(tax.depth(), 1.0));
+            assert_eq!(res.scored_nodes, tax.num_nodes() - 1);
+            for w in res.items.windows(2) {
+                assert!(w[0].1 >= w[1].1, "user {u}: not sorted");
+            }
+            // Equal scores may order differently (the beam breaks ties
+            // by level, the scan by item id): compare as sets.
+            let mut got: Vec<(ItemId, u32)> =
+                res.items.iter().map(|&(i, x)| (i, x.to_bits())).collect();
+            let mut want: Vec<(ItemId, u32)> = s
+                .top_k_items(&q, m.num_items(), &[])
+                .iter()
+                .map(|&(i, x)| (i, x.to_bits()))
+                .collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "user {u}");
+        }
+    }
+
+    #[test]
+    fn thin_beam_over_a_shallow_leaf_answers_with_it() {
+        let m = shallow_fixture();
+        let tax = m.taxonomy();
+        let s = Scorer::new(&m);
+        let mut hit = false;
+        for u in 0..m.num_users() {
+            let q = s.query(u, &[]);
+            let best = s.rank_level(&q, 1)[0];
+            // One kept node per level. When it is childless the levels
+            // below see an empty frontier.
+            let res = cascade(&s, &q, &CascadeConfig::uniform(tax.depth(), 0.01));
+            assert_eq!(res.per_level[0], vec![best], "user {u}");
+            if let Some(item) = tax.node_item(best.0) {
+                hit = true;
+                assert_eq!(res.items, vec![(item, best.1)], "user {u}");
+                assert_eq!(res.scored_nodes, tax.nodes_at_level(1).len());
+                assert!(res.per_level[1..].iter().all(|l| l.is_empty()));
+            } else {
+                assert_eq!(res.items.len(), 1, "user {u}");
+            }
+        }
+        assert!(hit, "no user ranks a childless level-1 node first");
+    }
+
+    #[test]
+    fn a_reused_beam_carries_nothing_between_requests() {
+        let (regular, _) = scorer_fixture();
+        let shallow = shallow_fixture();
+        let mut reused = Beam::default();
+        for round in 0..2 {
+            for (m, cfg, k, exclude) in [
+                (
+                    &regular,
+                    CascadeConfig::uniform(4, 0.4),
+                    7,
+                    &[ItemId(3)][..],
+                ),
+                (&shallow, CascadeConfig::uniform(4, 1.0), 50, &[][..]),
+                (&regular, CascadeConfig::leaf_only(4, 0.05), 3, &[][..]),
+                (
+                    &shallow,
+                    CascadeConfig::uniform(4, 0.01),
+                    2,
+                    &[ItemId(0)][..],
+                ),
+            ] {
+                let s = Scorer::new(m);
+                let q = s.query(round, &[]);
+                let (mut got, mut want) = (vec![(ItemId(9), 9.0)], Vec::new());
+                let counts = reused.top_items_into(&s, &q, &cfg, k, exclude, &mut got);
+                let fresh = Beam::default().top_items_into(&s, &q, &cfg, k, exclude, &mut want);
+                assert_eq!(got, want, "round {round} {cfg:?}");
+                assert_eq!(counts, fresh, "round {round} {cfg:?}");
+                // And the ranked prefix of the unbounded walk.
+                let full: Vec<(ItemId, f32)> = cascade(&s, &q, &cfg)
+                    .items
+                    .into_iter()
+                    .filter(|(i, _)| !exclude.contains(i))
+                    .take(k)
+                    .collect();
+                assert_eq!(got, full, "round {round} {cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_limits_return_nothing() {
+        for m in [scorer_fixture().0, shallow_fixture()] {
+            let s = Scorer::new(&m);
+            let q = s.query(0, &[]);
+            let cfg = CascadeConfig::uniform(m.taxonomy().depth(), 0.5);
+            let mut beam = Beam::default();
+            let mut out = vec![(ItemId(1), 1.0)];
+            let (scored, kept) = beam.top_items_into(&s, &q, &cfg, 0, &[], &mut out);
+            assert!(out.is_empty());
+            assert!(scored > 0);
+            assert_eq!(kept, 0);
+            // k = 0 with exclusions still ranks |exclude| leaves and
+            // returns none of them.
+            beam.top_items_into(&s, &q, &cfg, 0, &[ItemId(2), ItemId(5)], &mut out);
+            assert!(out.is_empty());
+            // A zero fraction keeps nothing at any level.
+            let none = cascade(&s, &q, &CascadeConfig::uniform(m.taxonomy().depth(), 0.0));
+            assert!(none.items.is_empty());
+            assert!(none.per_level.iter().all(|l| l.is_empty()));
+        }
     }
 
     #[test]

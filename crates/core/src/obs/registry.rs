@@ -386,6 +386,9 @@ pub struct ScanMetrics {
     quant_sufficient: Counter,
     quant_insufficient: Counter,
     quant_rescored_rows: Counter,
+    cascade_requests: Counter,
+    cascade_scored_nodes: Counter,
+    cascade_kept_leaves: Counter,
 }
 
 #[derive(Debug)]
@@ -443,6 +446,21 @@ impl ScanMetrics {
                 "Catalog rows the quantized scans rescored in exact f32",
                 &[],
             ),
+            cascade_requests: registry.counter(
+                "taxrec_cascade_requests_total",
+                "Per-user cascaded (taxonomy beam) reads served",
+                &[],
+            ),
+            cascade_scored_nodes: registry.counter(
+                "taxrec_cascade_scored_nodes_total",
+                "Taxonomy nodes the cascaded reads scored (one gather-dot each)",
+                &[],
+            ),
+            cascade_kept_leaves: registry.counter(
+                "taxrec_cascade_kept_leaves_total",
+                "Leaves the cascaded reads ranked after the final cut (at most top + excluded)",
+                &[],
+            ),
         })
     }
 
@@ -468,6 +486,14 @@ impl ScanMetrics {
         } else {
             self.quant_insufficient.inc();
         }
+    }
+
+    /// Record one cascaded read: the taxonomy nodes its beam scored and
+    /// the leaves it ranked after the final cut.
+    pub fn record_cascade(&self, scored_nodes: u64, kept_leaves: u64) {
+        self.cascade_requests.inc();
+        self.cascade_scored_nodes.add(scored_nodes);
+        self.cascade_kept_leaves.add(kept_leaves);
     }
 
     /// Quantized first-pass scans recorded.

@@ -10,7 +10,7 @@ use super::batch::{self, Shard};
 use super::kernel::{F32Kernel, QuantQuery};
 use super::shards::{self, CatalogPartition};
 use super::topk::{TopK, SCORE_BLOCK};
-use crate::inference::{cascade, CascadeConfig};
+use crate::inference::{Beam, CascadeConfig};
 use crate::model::TfModel;
 use crate::obs::{ScanMetrics, TraceBuilder};
 use crate::scoring::Scorer;
@@ -113,6 +113,8 @@ struct Scratch {
     query: Vec<f32>,
     block: Vec<f32>,
     topk: TopK,
+    /// Frontier and candidate buffers of the cascaded walk.
+    beam: Beam,
     /// Int8 dot buffer of the quantized scan, one chunk at a time.
     qdots: Vec<i32>,
     /// Approximate-score buffer of the quantized scan, one chunk at a
@@ -128,6 +130,7 @@ impl Scratch {
             query: vec![0.0; k_factors],
             block: vec![0.0; SCORE_BLOCK],
             topk: TopK::new(),
+            beam: Beam::default(),
             qdots: Vec::new(),
             qapprox: Vec::new(),
             partials: Vec::new(),
@@ -845,14 +848,17 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
             Backend::Quantized(cfg) => self.quantized_into(req, cfg, scratch, out, trace),
             Backend::Cascaded(cfg) => {
                 let t_cascade = trace.as_ref().map(|t| t.clock());
-                let res = cascade(&self.scorer, &scratch.query, cfg);
-                out.clear();
-                out.extend(
-                    res.items
-                        .into_iter()
-                        .filter(|(i, _)| req.exclude.binary_search(i).is_err())
-                        .take(req.k),
+                let (scored_nodes, kept_leaves) = scratch.beam.top_items_into(
+                    &self.scorer,
+                    &scratch.query,
+                    cfg,
+                    req.k,
+                    req.exclude,
+                    out,
                 );
+                if let Some(sm) = self.scan_metrics.as_ref() {
+                    sm.record_cascade(scored_nodes as u64, kept_leaves as u64);
+                }
                 if let (Some(t), Some(start)) = (trace.as_mut(), t_cascade) {
                     t.close("cascade_rescore", start);
                 }
