@@ -31,15 +31,14 @@
 //!    the `Arc` slot itself, swapped under a briefly-held lock.
 //! 2. **Publishes cost `O(change)`, not `O(model)` — end to end.** The
 //!    successor engine is derived via
-//!    [`crate::recommend::RecommendEngine::grown_from`]: the dense item
-//!    matrix and the effective-factor tables are
-//!    [`taxrec_factors::GrowMatrix`]es whose base *and* appended tail
-//!    chunks are shared with the predecessor snapshot; a new row copies
-//!    at most the one 256-row tail chunk it lands in. The authoritative
-//!    [`crate::TfModel`] is **persistent** too:
-//!    its factor tables are chunked copy-on-write matrices
-//!    ([`taxrec_factors::CowMatrix`]) and its path table sits behind an
-//!    `Arc`, so the per-publish `model().clone()` bumps refcounts
+//!    [`crate::recommend::RecommendEngine::grown_from`]: the scan
+//!    shards' item tables and the effective-factor tables are chunked
+//!    copy-on-write matrices ([`taxrec_factors::CowMatrix`]) whose
+//!    chunks are all shared with the predecessor snapshot; a new row
+//!    copies at most the one 256-row tail chunk it lands in. The
+//!    authoritative [`crate::TfModel`] is **persistent** too: its
+//!    factor tables are `CowMatrix`es as well and its path table sits
+//!    behind an `Arc`, so the per-publish `model().clone()` bumps refcounts
 //!    instead of copying factors, and the events that preceded the
 //!    publish copied only the chunks they touched. The applier records
 //!    the publish latency histogram, a shared/copied chunk counter

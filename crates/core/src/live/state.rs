@@ -214,11 +214,11 @@ impl LiveState {
     }
 
     /// Register an item under `parent`, reusing the spare arena when
-    /// the model's own is shared with a published snapshot.
+    /// the model's own is shared with a published snapshot. `apply` has
+    /// already validated `parent` on the shared arena, before anything
+    /// moves: a rejected add leaves model, spare, lag and counters
+    /// untouched.
     fn add_item(&mut self, parent: NodeId) -> Result<ItemId, LiveError> {
-        // On the shared arena, before anything moves: a rejected add
-        // leaves model, spare, lag and counters untouched.
-        self.model.taxonomy.check_push_leaf(parent)?;
         let unshared = Arc::get_mut(&mut self.model.taxonomy).is_some()
             && Arc::get_mut(&mut self.model.paths).is_some();
         if !unshared {
@@ -258,8 +258,9 @@ impl LiveState {
 
     /// Check whether `ev` would apply cleanly, without mutating
     /// anything. The applier validates *before* appending to the WAL so
-    /// a durably-logged event is always an applicable one; mirrors
-    /// exactly the failure cases of [`apply`](Self::apply).
+    /// a durably-logged event is always an applicable one;
+    /// [`apply`](Self::apply) runs this same check first, so the two
+    /// reject exactly the same events.
     pub fn validate(&self, ev: &UpdateEvent) -> Result<(), LiveError> {
         match ev {
             UpdateEvent::AddItem { parent } => {
@@ -300,6 +301,7 @@ impl LiveState {
     /// always yields the bit-identical successor. On error the state is
     /// unchanged.
     pub fn apply(&mut self, ev: &UpdateEvent) -> Result<Applied, LiveError> {
+        self.validate(ev)?;
         let applied = match ev {
             UpdateEvent::AddItem { parent } => {
                 let item = self.add_item(*parent)?;
@@ -313,31 +315,7 @@ impl LiveState {
                 steps,
                 seed,
             } => {
-                if *steps > super::event::MAX_EVENT_FOLD_STEPS {
-                    return Err(LiveError::FoldStepsTooLarge(*steps));
-                }
-                let n_items = self.model.num_items();
-                if let Some(bad) = history.iter().flatten().find(|i| i.index() >= n_items) {
-                    return Err(LiveError::UnknownItem(bad.0));
-                }
-                // Fold against the *current* frozen factors (replay
-                // determinism: the factor depends on every item added
-                // before this event). Building a scorer here is
-                // O(nodes × K) per fold-in — measured ≈ 2.4 ms and
-                // ~20 MB of fresh allocation per fold at 32k items ×
-                // K=64, the largest cost left on the write path. Not
-                // settled: ROADMAP item 2A, blocked on item 1.
-                let factor = {
-                    let scorer = Scorer::new(&self.model);
-                    fold_in_user(&scorer, history, *steps, *seed)
-                };
-                let hist: Arc<[Transaction]> = Arc::from(history.as_slice());
-                let recipe = FoldRecipe {
-                    history: Arc::clone(&hist),
-                    steps: *steps,
-                    seed: *seed,
-                    n_items,
-                };
+                let (factor, hist, recipe) = self.fold(history, *steps, *seed);
                 let user = self.model.push_user_with_recipe(&factor, recipe);
                 Arc::make_mut(&mut self.histories).push(hist);
                 Applied::UserFolded { user }
@@ -348,32 +326,12 @@ impl LiveState {
                 steps,
                 seed,
             } => {
-                if *steps > super::event::MAX_EVENT_FOLD_STEPS {
-                    return Err(LiveError::FoldStepsTooLarge(*steps));
-                }
-                if *user < self.base_users || *user >= self.model.num_users() {
-                    return Err(LiveError::UnknownUser(*user));
-                }
-                let n_items = self.model.num_items();
-                if let Some(bad) = history.iter().flatten().find(|i| i.index() >= n_items) {
-                    return Err(LiveError::UnknownItem(bad.0));
-                }
                 // Re-fold **from scratch** at the current catalog: v_u
                 // restarts at the prior mean and `history` replaces the
                 // stored baskets outright, so a user who was evicted,
                 // faulted back, and folded again never double-counts
                 // earlier purchases.
-                let factor = {
-                    let scorer = Scorer::new(&self.model);
-                    fold_in_user(&scorer, history, *steps, *seed)
-                };
-                let hist: Arc<[Transaction]> = Arc::from(history.as_slice());
-                let recipe = FoldRecipe {
-                    history: Arc::clone(&hist),
-                    steps: *steps,
-                    seed: *seed,
-                    n_items,
-                };
+                let (factor, hist, recipe) = self.fold(history, *steps, *seed);
                 self.model.set_user_factor(*user, &factor, recipe);
                 Arc::make_mut(&mut self.histories)[*user - self.base_users] = hist;
                 Applied::UserRefolded { user: *user }
@@ -381,6 +339,29 @@ impl LiveState {
         };
         self.events_applied += 1;
         Ok(applied)
+    }
+
+    /// Fold `history` in against the *current* frozen factors (replay
+    /// determinism: the factor depends on every item added before this
+    /// event) and return what a fold-in or refold stores: the factor,
+    /// the shared history and the recipe that recomputes the factor
+    /// after a tier eviction. Building the scorer here is O(nodes × K)
+    /// per fold — the largest cost left on the write path.
+    fn fold(
+        &self,
+        history: &[Transaction],
+        steps: usize,
+        seed: u64,
+    ) -> (Vec<f32>, Arc<[Transaction]>, FoldRecipe) {
+        let factor = fold_in_user(&Scorer::new(&self.model), history, steps, seed);
+        let hist: Arc<[Transaction]> = Arc::from(history);
+        let recipe = FoldRecipe {
+            history: Arc::clone(&hist),
+            steps,
+            seed,
+            n_items: self.model.num_items(),
+        };
+        (factor, hist, recipe)
     }
 }
 

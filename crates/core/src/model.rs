@@ -26,7 +26,7 @@ use crate::scoring::Scorer;
 use crate::tier::{FoldRecipe, TierHandle, TierStatsSnapshot, UserTier};
 use std::sync::Arc;
 use taxrec_dataset::Transaction;
-use taxrec_factors::{ops, CowMatrix, FactorMatrix};
+use taxrec_factors::{ops, CowMatrix, FactorMatrix, COW_CHUNK_ROWS};
 use taxrec_taxonomy::{ItemId, NodeId, PathTable, Taxonomy};
 
 /// A trained (or freshly initialised) TF(U, B) model.
@@ -354,26 +354,37 @@ impl TfModel {
 
     /// Materialise the effective factors of **all nodes** for the given
     /// offset matrix, in one forward pass (node ids are topological, so
-    /// `eff[n] = eff[parent(n)] + w_n` with the cutoff applied).
-    pub(crate) fn effective_all_nodes(&self, offsets: &CowMatrix) -> FactorMatrix {
+    /// `eff[n] = eff[parent(n)] + w_n` with the cutoff applied). Rows
+    /// are appended in node-id order into chunks that already have room
+    /// for [`COW_CHUNK_ROWS`] rows, so the table is built in its shared
+    /// layout with no second copy; a node appended later
+    /// ([`Scorer::grown_from`]) repeats exactly this per-row step.
+    pub(crate) fn effective_all_nodes(&self, offsets: &CowMatrix) -> CowMatrix {
         let k = self.k();
         let tax = &*self.taxonomy;
-        let mut eff = FactorMatrix::zeros(tax.num_nodes(), k);
+        let mut chunks: Vec<FactorMatrix> =
+            Vec::with_capacity(tax.num_nodes().div_ceil(COW_CHUNK_ROWS));
+        let mut row = vec![0.0f32; k];
         for idx in 0..tax.num_nodes() {
             let node = NodeId(idx as u32);
-            let include_self = tax.level(node) >= self.cutoff_level;
-            if let Some(p) = tax.parent(node) {
-                let (row, parent_row) = eff.rows_mut2(idx, p.index());
-                row.copy_from_slice(parent_row);
+            match tax.parent(node) {
+                Some(p) => row.copy_from_slice(
+                    chunks[p.index() / COW_CHUNK_ROWS].row(p.index() % COW_CHUNK_ROWS),
+                ),
+                None => row.fill(0.0),
             }
-            if include_self {
-                let row = eff.row_mut(idx);
-                for (v, w) in row.iter_mut().zip(offsets.row(idx)) {
-                    *v += w;
-                }
+            if tax.level(node) >= self.cutoff_level {
+                ops::add_assign(offsets.row(idx), &mut row);
             }
+            if idx % COW_CHUNK_ROWS == 0 {
+                chunks.push(FactorMatrix::with_capacity(COW_CHUNK_ROWS, k));
+            }
+            chunks
+                .last_mut()
+                .expect("a chunk was opened at row 0")
+                .push_row(&row);
         }
-        eff
+        CowMatrix::from_chunks(k, chunks)
     }
 
     /// Convenience: exhaustively score all items for `(user, history)`
@@ -430,6 +441,45 @@ impl TfModel {
             cutoff_level: self.cutoff_level,
             user_tier: self.user_tier.clone(),
         }
+    }
+}
+
+#[cfg(test)]
+impl TfModel {
+    /// Panics unless every row of `eff` has the same bits as the dense
+    /// reference pass over `offsets` — the check that building the
+    /// table chunk by chunk changed no summation order.
+    pub(crate) fn assert_matches_dense_pass(&self, offsets: &CowMatrix, eff: &CowMatrix, at: &str) {
+        let want = self.effective_all_nodes_dense(offsets);
+        assert_eq!(eff.rows(), want.rows(), "{at}: row count");
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for r in 0..want.rows() {
+            assert_eq!(bits(eff.row(r)), bits(want.row(r)), "{at}: node {r}");
+        }
+    }
+
+    /// The dense single-matrix forward pass, kept as the reference the
+    /// chunked [`effective_all_nodes`](Self::effective_all_nodes) and
+    /// [`Scorer::grown_from`] must match bit for bit.
+    fn effective_all_nodes_dense(&self, offsets: &CowMatrix) -> FactorMatrix {
+        let k = self.k();
+        let tax = &*self.taxonomy;
+        let mut eff = FactorMatrix::zeros(tax.num_nodes(), k);
+        for idx in 0..tax.num_nodes() {
+            let node = NodeId(idx as u32);
+            let include_self = tax.level(node) >= self.cutoff_level;
+            if let Some(p) = tax.parent(node) {
+                let (row, parent_row) = eff.rows_mut2(idx, p.index());
+                row.copy_from_slice(parent_row);
+            }
+            if include_self {
+                let row = eff.row_mut(idx);
+                for (v, w) in row.iter_mut().zip(offsets.row(idx)) {
+                    *v += w;
+                }
+            }
+        }
+        eff
     }
 }
 
@@ -598,6 +648,51 @@ mod tests {
             let row = eff.row(node.index());
             for (a, b) in buf.iter().zip(row) {
                 assert!((a - b).abs() < 1e-5, "node {node}");
+            }
+        }
+    }
+
+    /// The 1e-5 tolerance above would hide a changed summation order;
+    /// this pins the chunked build to the dense pass bit for bit, on a
+    /// trained model at every cutoff and on node counts either side of
+    /// one chunk.
+    #[test]
+    fn effective_all_nodes_is_bit_identical_to_the_dense_pass() {
+        use taxrec_dataset::{DatasetConfig, SyntheticDataset};
+        let d = SyntheticDataset::generate(&DatasetConfig::tiny().with_users(50), 4);
+        for u in 1..=d.taxonomy.depth() + 1 {
+            let m = crate::train::TfTrainer::new(
+                ModelConfig::tf(u, 1).with_factors(8).with_epochs(1),
+                &d.taxonomy,
+            )
+            .fit(&d.train, 3);
+            for offsets in [&m.node_factors, &m.next_factors] {
+                let eff = m.effective_all_nodes(offsets);
+                m.assert_matches_dense_pass(offsets, &eff, &format!("trained U={u}"));
+            }
+        }
+        for nodes in [COW_CHUNK_ROWS - 1, COW_CHUNK_ROWS, COW_CHUNK_ROWS + 1] {
+            let shape = TaxonomyShape {
+                level_sizes: vec![3, 6, 12],
+                num_items: nodes - 22,
+                item_skew: 0.5,
+            };
+            let tax = Arc::new(
+                TaxonomyGenerator::new(shape)
+                    .generate(&mut StdRng::seed_from_u64(5))
+                    .taxonomy,
+            );
+            assert_eq!(tax.num_nodes(), nodes);
+            for u in [1, 3, 5] {
+                let cfg = ModelConfig::tf(u, 1)
+                    .with_factors(8)
+                    .with_node_init_sigma(0.1);
+                let m = TfModel::init(cfg, Arc::clone(&tax), 4, 9);
+                for offsets in [&m.node_factors, &m.next_factors] {
+                    let eff = m.effective_all_nodes(offsets);
+                    assert_eq!(eff.num_chunks(), nodes.div_ceil(COW_CHUNK_ROWS));
+                    m.assert_matches_dense_pass(offsets, &eff, &format!("{nodes} nodes U={u}"));
+                }
             }
         }
     }

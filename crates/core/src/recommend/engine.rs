@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use taxrec_dataset::Transaction;
-use taxrec_factors::{FactorMatrix, GrowMatrix, QuantMatrix};
+use taxrec_factors::{CowMatrix, QuantMatrix, COW_CHUNK_ROWS};
 use taxrec_taxonomy::ItemId;
 
 /// Knobs of the int8-quantized scan backend.
@@ -138,15 +138,19 @@ impl Scratch {
     }
 }
 
-/// One contiguous slice of the catalog, owning the dense effective
-/// factors of items `[first, first + items.rows())` plus their int8
-/// shadow for the quantized first pass.
+/// One contiguous slice of the catalog, owning the effective factors of
+/// items `[first, first + items.rows())` plus their int8 shadow for the
+/// quantized first pass. Both tables chunk at the same
+/// [`COW_CHUNK_ROWS`] boundaries, counted from `first`.
 #[derive(Debug, Clone)]
 struct CatalogShard {
     first: usize,
-    items: GrowMatrix,
+    items: CowMatrix,
     quant: QuantMatrix,
 }
+
+// The f32 scan scores one item chunk per block.
+const _: () = assert!(COW_CHUNK_ROWS == SCORE_BLOCK);
 
 /// Blocked top-K scan of one shard: dense dot products per block, then
 /// a thresholded sweep into the (reset) reusable heap. Identical kernel
@@ -161,39 +165,26 @@ fn scan_shard(
     topk: &mut TopK,
     block: &mut [f32],
 ) -> (u64, u64) {
-    let k_factors = query.len();
-    let mut blocks = 0u64;
     topk.reset(k);
-    // One contiguous segment offline; base + appended tail chunks
-    // after live catalog growth, each scanned with the same blocked
-    // kernel (a full tail chunk is exactly one `SCORE_BLOCK`).
-    for (seg_start, seg) in shard.items.segments() {
-        let seg_rows = seg.rows();
-        let flat = seg.as_slice();
-        let mut first = 0usize;
-        while first < seg_rows {
-            let len = SCORE_BLOCK.min(seg_rows - first);
-            blocks += 1;
-            let rows = &flat[first * k_factors..(first + len) * k_factors];
-            let scores = &mut block[..len];
-            kernel.score_block(query, rows, scores);
-            let threshold = topk.threshold();
-            for (off, &s) in scores.iter().enumerate() {
-                // Fast reject: full heaps only admit strictly better
-                // scores, and the threshold only rises within a block.
-                if s <= threshold && topk.len() >= k {
-                    continue;
-                }
-                let item = ItemId((shard.first + seg_start + first + off) as u32);
-                if exclude.binary_search(&item).is_ok() {
-                    continue;
-                }
-                topk.offer(item, s);
+    for (ci, chunk) in shard.items.chunks().iter().enumerate() {
+        let first = shard.first + ci * COW_CHUNK_ROWS;
+        let scores = &mut block[..chunk.rows()];
+        kernel.score_block(query, chunk.as_slice(), scores);
+        let threshold = topk.threshold();
+        for (off, &s) in scores.iter().enumerate() {
+            // Fast reject: full heaps only admit strictly better
+            // scores, and the threshold only rises within a block.
+            if s <= threshold && topk.len() >= k {
+                continue;
             }
-            first += len;
+            let item = ItemId((first + off) as u32);
+            if exclude.binary_search(&item).is_ok() {
+                continue;
+            }
+            topk.offer(item, s);
         }
     }
-    (shard.items.rows() as u64, blocks)
+    (shard.items.rows() as u64, shard.items.num_chunks() as u64)
 }
 
 /// Quantized branch-and-bound scan of one shard.
@@ -240,11 +231,11 @@ fn scan_shard_quantized(
     };
     let mut rescored = 0u64;
     dots.clear();
-    dots.resize(taxrec_factors::COW_CHUNK_ROWS, 0);
+    dots.resize(COW_CHUNK_ROWS, 0);
     approx.clear();
-    approx.resize(taxrec_factors::COW_CHUNK_ROWS, 0.0);
+    approx.resize(COW_CHUNK_ROWS, 0.0);
     let mut base = 0usize;
-    for chunk in shard.quant.chunks() {
+    for (chunk, items) in shard.quant.chunks().iter().zip(shard.items.chunks()) {
         let n = chunk.rows();
         let dots = &mut dots[..n];
         let approx = &mut approx[..n];
@@ -258,7 +249,7 @@ fn scan_shard_quantized(
             if exclude.binary_search(&item).is_ok() {
                 continue;
             }
-            topk.offer(item, kernel.dot(query, shard.items.row(base + r)));
+            topk.offer(item, kernel.dot(query, items.row(r)));
             rescored += 1;
             if topk.len() == k {
                 cutoff = topk.threshold() as f64 - eps;
@@ -286,9 +277,9 @@ fn rescore_budget(cfg: &QuantizedConfig, k: usize, shard_rows: u64) -> u64 {
 /// A frozen model ready to serve batched top-K recommendations.
 ///
 /// Construction materialises the effective factors of every taxonomy
-/// node (via [`Scorer`]) *and* packs the leaf factors into a dense
-/// `num_items × K` matrix so the exhaustive path scans contiguous
-/// memory instead of hopping through the node arena.
+/// node (via [`Scorer`]) *and* copies the leaf factors, in item-id
+/// order, into per-shard item tables so the exhaustive path scans
+/// contiguous 256-row blocks instead of hopping through the node arena.
 ///
 /// ```
 /// use taxrec_core::recommend::{Backend, RecommendEngine, RecommendRequest};
@@ -318,11 +309,12 @@ fn rescore_budget(cfg: &QuantizedConfig, k: usize, shard_rows: u64) -> u64 {
 ///
 /// `M` is the model holder: `&TfModel` for the borrowed offline shape,
 /// `Arc<TfModel>` for owned snapshots published by [`crate::live`]. The
-/// dense item matrix is partitioned into contiguous, taxonomy-aligned
+/// item catalog is partitioned into contiguous, taxonomy-aligned
 /// catalog shards (see [`crate::recommend::shards`]); each shard's
-/// matrix is a [`GrowMatrix`], so the successor engine after a catalog
-/// change ([`RecommendEngine::grown_from`]) appends the new items' rows
-/// to the owning shard's tail instead of recopying any scan state.
+/// table is a [`CowMatrix`], so the successor engine after a catalog
+/// change ([`RecommendEngine::grown_from`]) shares every chunk and
+/// appends the new items' rows to the last shard instead of recopying
+/// any scan state.
 #[derive(Debug)]
 pub struct RecommendEngine<M: Deref<Target = TfModel>> {
     scorer: Scorer<M>,
@@ -364,8 +356,6 @@ pub struct QuantPoolStats {
     pub insufficient: u64,
 }
 
-use crate::scoring::COMPACT_TAIL_FRACTION;
-
 impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     /// Engine over the exhaustive backend, unsharded.
     pub fn new(model: M) -> RecommendEngine<M> {
@@ -397,16 +387,12 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
             .ranges()
             .iter()
             .map(|range| {
-                let mut m = FactorMatrix::zeros(range.len(), k);
-                for (row, i) in (range.start..range.end).enumerate() {
-                    m.row_mut(row)
-                        .copy_from_slice(scorer.item_factor(ItemId(i as u32)));
-                }
-                let quant = QuantMatrix::from_rows(k, (0..m.rows()).map(|r| m.row(r)));
+                let rows =
+                    || (range.start..range.end).map(|i| scorer.item_factor(ItemId(i as u32)));
                 CatalogShard {
                     first: range.start,
-                    items: GrowMatrix::from_owned(m),
-                    quant,
+                    items: CowMatrix::from_rows(k, rows()),
+                    quant: QuantMatrix::from_rows(k, rows()),
                 }
             })
             .collect();
@@ -422,19 +408,17 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
 
     /// Build the successor engine for a model that extends `prev`'s
     /// catalog (same contract as [`Scorer::grown_from`]): the per-shard
-    /// scan matrices and effective-factor tables are shared with `prev`
-    /// and only rows for the appended items/nodes are computed —
-    /// publish cost is `O(change)`, not `O(catalog)` and not `O(rows
-    /// added since the last compaction)` either: the appended tails are
-    /// chunk-shared, so the clone bumps refcounts and an append copies
-    /// at most the one 256-row chunk it lands in.
+    /// item tables and effective-factor tables are cloned from `prev`
+    /// (one refcount bump per chunk) and only rows for the appended
+    /// items/nodes are computed and pushed — publish cost is
+    /// `O(change)`, not `O(catalog)`: an append copies at most the one
+    /// 256-row chunk it lands in.
     ///
     /// Appended item ids extend the id space past the last shard's
     /// range, so a live `AddItem` routes to the **last shard's tail**;
-    /// every other shard is shared with `prev` by pointer. Once a
-    /// shard's appended tail outgrows a quarter of its shared base it
-    /// is compacted back into one contiguous segment, so a long-lived
-    /// update stream cannot degrade the blocked scan.
+    /// every other shard is shared with `prev` by pointer. Every chunk
+    /// but the tail stays full, so however long the update stream, the
+    /// blocked scan still reads whole 256-row blocks.
     pub fn grown_from<P: Deref<Target = TfModel>>(
         prev: &RecommendEngine<P>,
         model: M,
@@ -451,9 +435,6 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
             // Re-quantizes only the touched tail chunk — every other
             // quant chunk stays shared with `prev` by pointer.
             tail.quant.push_row(row);
-        }
-        if tail.items.tail_rows() * COMPACT_TAIL_FRACTION > tail.items.base_rows() {
-            tail.items.compact();
         }
         RecommendEngine {
             scorer,
@@ -531,22 +512,12 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
             .map(|s| (s.first, s.first + s.items.rows()))
     }
 
-    /// `(base, tail)` segmentation of the dense item matrices summed
-    /// over shards — how many rows are shared with the ancestor engine
-    /// vs appended since.
-    pub fn catalog_segments(&self) -> (usize, usize) {
-        self.shards.iter().fold((0, 0), |(b, t), s| {
-            (b + s.items.base_rows(), t + s.items.tail_rows())
-        })
-    }
-
-    /// `(segments, bytes)` of the derived f32 tables that are *not*
+    /// `(chunks, bytes)` of the derived f32 tables that are *not*
     /// shared by pointer with `prev`'s: the scorer's two
     /// effective-factor tables ([`Scorer::copied_since`]), then the
-    /// dense scan matrices summed over shards. For a successor built by
+    /// item tables summed over shards. For a successor built by
     /// [`grown_from`](Self::grown_from) this is what the publish copied
-    /// or appended — at most one tail chunk per table, or the whole
-    /// table on the publish that compacts it.
+    /// or appended — at most one chunk per touched table.
     pub fn copied_since<N>(&self, prev: &RecommendEngine<N>) -> [(u64, u64); 3]
     where
         N: std::ops::Deref<Target = TfModel>,

@@ -10,23 +10,19 @@
 //! borrows (the offline evaluation/bench shape), while
 //! `Scorer<Arc<TfModel>>` owns a shared handle — the shape the live
 //! serving subsystem ([`crate::live`]) publishes through its
-//! epoch-swapped snapshots. The effective-factor tables are stored as
-//! [`GrowMatrix`]es so a successor scorer over a grown catalog can be
-//! derived row-by-row via [`Scorer::grown_from`] instead of re-running
-//! the full forward pass.
+//! epoch-swapped snapshots. The effective-factor tables are
+//! [`CowMatrix`]es, so a successor scorer over a grown catalog is
+//! derived via [`Scorer::grown_from`] by sharing every existing chunk
+//! and appending the new nodes' rows, instead of re-running the full
+//! forward pass.
 
 use crate::model::TfModel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Deref;
 use taxrec_dataset::Transaction;
-use taxrec_factors::{ops, GrowMatrix};
+use taxrec_factors::{ops, CowMatrix};
 use taxrec_taxonomy::{ItemId, NodeId};
-
-/// Tail fraction (vs base) past which a grown matrix is folded back
-/// into one contiguous segment — shared by [`Scorer::grown_from`] and
-/// the recommend engine's dense item matrix.
-pub(crate) const COMPACT_TAIL_FRACTION: usize = 4; // tail > base/4 → compact
 
 /// Precomputed effective factors for fast scoring.
 ///
@@ -36,16 +32,16 @@ pub(crate) const COMPACT_TAIL_FRACTION: usize = 4; // tail > base/4 → compact
 pub struct Scorer<M: Deref<Target = TfModel>> {
     model: M,
     /// Effective long-term factor per node.
-    eff_nodes: GrowMatrix,
+    eff_nodes: CowMatrix,
     /// Effective next-item factor per node.
-    eff_next: GrowMatrix,
+    eff_next: CowMatrix,
 }
 
 impl<M: Deref<Target = TfModel>> Scorer<M> {
     /// Materialise effective factors for `model`.
     pub fn new(model: M) -> Scorer<M> {
-        let eff_nodes = GrowMatrix::from_owned(model.effective_all_nodes(&model.node_factors));
-        let eff_next = GrowMatrix::from_owned(model.effective_all_nodes(&model.next_factors));
+        let eff_nodes = model.effective_all_nodes(&model.node_factors);
+        let eff_next = model.effective_all_nodes(&model.next_factors);
         Scorer {
             model,
             eff_nodes,
@@ -58,18 +54,18 @@ impl<M: Deref<Target = TfModel>> Scorer<M> {
     /// already knew, plus zero or more appended nodes (the
     /// [`TfModel::with_added_item`] / [`crate::live`] evolution). Only
     /// the appended nodes' effective rows are computed — `O(new × K)`
-    /// instead of the full `O(nodes × K)` forward pass; existing rows
-    /// are shared with `prev` by pointer, base and appended tail chunks
-    /// alike, so at most one 256-row tail chunk per table is copied
-    /// however many rows earlier epochs appended.
+    /// instead of the full `O(nodes × K)` forward pass; every existing
+    /// chunk is shared with `prev` by pointer, so at most the one
+    /// 256-row tail chunk per table is copied, however long the tables
+    /// are.
     ///
     /// The caller guarantees the prefix property; it is cheap to uphold
     /// (every mutation in [`crate::dynamic`] and [`crate::live`] does)
     /// but only spot-checked here via `debug_assert`.
     ///
     /// # Panics
-    /// If `K`, the cutoff level, or the user count shrank — symptoms of
-    /// a model that is not a descendant of `prev`'s.
+    /// If `K` or the cutoff level changed, or the node arena shrank —
+    /// symptoms of a model that is not a descendant of `prev`'s.
     pub fn grown_from<P: Deref<Target = TfModel>>(prev: &Scorer<P>, model: M) -> Scorer<M> {
         let old = prev.model();
         assert_eq!(old.k(), model.k(), "factor dim changed");
@@ -112,14 +108,6 @@ impl<M: Deref<Target = TfModel>> Scorer<M> {
                 eff.push_row(&buf);
             }
         }
-        // A long-lived update stream must not fragment the scan into
-        // ever more tail chunks: once the appended tail outgrows a
-        // quarter of the shared base, fold it back into one segment.
-        for eff in [&mut eff_nodes, &mut eff_next] {
-            if eff.tail_rows() * COMPACT_TAIL_FRACTION > eff.base_rows() {
-                eff.compact();
-            }
-        }
         Scorer {
             model,
             eff_nodes,
@@ -132,9 +120,9 @@ impl<M: Deref<Target = TfModel>> Scorer<M> {
         &self.model
     }
 
-    /// `(segments, bytes)` of the two effective-factor tables — long-term
+    /// `(chunks, bytes)` of the two effective-factor tables — long-term
     /// first, next-item second — that are *not* shared by pointer with
-    /// `prev`'s (see [`GrowMatrix::copied_since`]): what
+    /// `prev`'s (see [`CowMatrix::copied_since`]): what
     /// [`grown_from`](Self::grown_from) copied or appended.
     pub fn copied_since<P: Deref<Target = TfModel>>(&self, prev: &Scorer<P>) -> [(u64, u64); 2] {
         [
@@ -410,6 +398,47 @@ mod tests {
             for w in ranked.windows(2) {
                 assert!(w[0].1 >= w[1].1);
             }
+        }
+    }
+
+    /// Hundreds of adds — under a deepest category, a level-1 category
+    /// and the root, each new node given its own non-zero offsets so its
+    /// appended row really sums a path — grow tables that match the
+    /// dense pass over the final model bit for bit, across chunk
+    /// boundaries and at several cutoffs.
+    #[test]
+    fn grown_tables_are_bit_identical_to_the_dense_pass() {
+        use rand::Rng;
+        for u in [1usize, 2, 4] {
+            let cfg = ModelConfig::tf(u, 1)
+                .with_factors(6)
+                .with_node_init_sigma(0.1);
+            let mut m = TfModel::init(cfg, tax(), 10, 3);
+            let t = m.taxonomy();
+            let parents = [
+                t.parent(t.item_node(ItemId(0))).unwrap(),
+                NodeId(t.nodes_at_level(1)[0]),
+                NodeId::ROOT,
+            ];
+            let mut scorer = Scorer::new(Arc::new(m.clone()));
+            let mut rng = StdRng::seed_from_u64(8);
+            for step in 0..2 * taxrec_factors::COW_CHUNK_ROWS + 40 {
+                m.add_item_mut(parents[step % parents.len()]).unwrap();
+                let node = m.taxonomy().num_nodes() - 1;
+                for offsets in [&mut m.node_factors, &mut m.next_factors] {
+                    for v in offsets.row_mut(node) {
+                        *v = rng.gen_range(-0.1f32..0.1);
+                    }
+                }
+                scorer = Scorer::grown_from(&scorer, Arc::new(m.clone()));
+                if step % 64 == 0 || node % taxrec_factors::COW_CHUNK_ROWS <= 1 {
+                    let at = format!("U={u} add {step}");
+                    m.assert_matches_dense_pass(&m.node_factors, &scorer.eff_nodes, &at);
+                    m.assert_matches_dense_pass(&m.next_factors, &scorer.eff_next, &at);
+                }
+            }
+            assert_eq!(scorer.eff_nodes, Scorer::new(&m).eff_nodes);
+            assert_eq!(scorer.eff_next, Scorer::new(&m).eff_next);
         }
     }
 

@@ -15,10 +15,10 @@
 //! a fresh state and re-compares, pinning `grown engine ≡ rebuilt
 //! engine` at every shard count.
 //!
-//! A second test drives a long add stream (more than two tail chunks,
-//! across compactions at every shard count) and compares the grown
-//! engines against a cold [`RecommendEngine::new`] on the final model
-//! for the exhaustive, quantized and full-beam cascaded backends.
+//! A second test drives a long add stream (more than two chunks onto
+//! the last shard at every shard count) and compares the grown engines
+//! against a cold [`RecommendEngine::new`] on the final model for the
+//! exhaustive, quantized and full-beam cascaded backends.
 
 use taxrec_core::live::{LiveEngine, LiveState, UpdateEvent};
 use taxrec_core::recommend::{Backend, QuantizedConfig, RecommendEngine, RecommendRequest};
@@ -258,15 +258,14 @@ fn sharded_serving_is_bit_identical_through_a_live_stream() {
     let _ = NodeId::ROOT;
 }
 
-/// A long add stream: the appended tails grow past two
-/// `COW_CHUNK_ROWS` chunks and are compacted at least once at every
-/// shard count, and at each checkpoint — around the chunk and
-/// compaction boundaries — the grown engine serves exactly what a cold
-/// engine over the same model serves. Every add goes through
+/// A long add stream: the last shard grows by more than two
+/// `COW_CHUNK_ROWS` chunks at every shard count, and at each checkpoint
+/// — around every chunk boundary — the grown engine serves exactly what
+/// a cold engine over the same model serves. Every add goes through
 /// [`LiveState::apply`] with a publish behind it, which is the schedule
 /// that recycles the taxonomy arena.
 #[test]
-fn long_add_stream_across_compaction_matches_a_cold_engine() {
+fn long_add_stream_across_chunk_boundaries_matches_a_cold_engine() {
     const ADDS: usize = 2 * taxrec_factors::COW_CHUNK_ROWS + 100;
     let mut cfg = DatasetConfig::tiny().with_users(40);
     cfg.shape.num_items = 2048;
@@ -295,11 +294,6 @@ fn long_add_stream_across_compaction_matches_a_cold_engine() {
         .iter()
         .map(|&s| Chain::new(LiveState::new(model.clone()), s))
         .collect();
-    let base_rows: Vec<usize> = chains
-        .iter()
-        .map(|c| c.engine.engine().catalog_segments().0)
-        .collect();
-    let mut multi_chunk_tail_seen = false;
 
     for step in 1..=ADDS {
         // Mostly one hot category (long runs inside one CSR slot), with
@@ -312,8 +306,6 @@ fn long_add_stream_across_compaction_matches_a_cold_engine() {
         for chain in chains.iter_mut() {
             chain.apply(&UpdateEvent::AddItem { parent });
         }
-        multi_chunk_tail_seen |=
-            chains[0].engine.engine().catalog_segments().1 > taxrec_factors::COW_CHUNK_ROWS;
         let around_boundary = step % taxrec_factors::COW_CHUNK_ROWS <= 1;
         if !(around_boundary || step == ADDS) {
             continue;
@@ -348,14 +340,7 @@ fn long_add_stream_across_compaction_matches_a_cold_engine() {
         }
     }
 
-    assert!(multi_chunk_tail_seen, "tail never spanned two chunks");
-    for (chain, base) in chains.iter().zip(base_rows) {
-        let (now, _) = chain.engine.engine().catalog_segments();
-        assert!(
-            now > base,
-            "S={}: stream never crossed a compaction",
-            chain.scan_shards
-        );
+    for chain in &chains {
         assert_eq!(chain.engine.model().num_items(), 2048 + ADDS);
         // `Chain::apply` publishes after every add and drops the epoch
         // before, so past the first two copies every add ran on the

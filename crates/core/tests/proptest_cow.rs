@@ -232,11 +232,12 @@ fn clone_shares_everything_deep_clone_shares_nothing() {
     assert_eq!(persist::encode(&deep), persist::encode(&fix.model));
 }
 
-/// The derived tables share their appended tails by chunk: deep into an
-/// add stream (1 000 adds on a 2 048-item catalog — a multi-chunk tail
-/// after one compaction) the successor of one more add differs from its
-/// predecessor in at most one chunk per table, and the successor of a
-/// fold-in in none. Counts, not timings: deterministic.
+/// The derived tables share every chunk but the one an add lands in:
+/// across 1 000 adds on a 2 048-item catalog — tables many chunks past
+/// their first build, crossing several chunk boundaries — every publish
+/// copies exactly one chunk per derived table and at most one chunk's
+/// bytes, and the successor of a fold-in copies none. Counts, not
+/// timings: deterministic.
 #[test]
 fn derived_tables_copy_at_most_one_chunk_per_publish() {
     let mut cfg = DatasetConfig::tiny().with_users(40);
@@ -256,30 +257,28 @@ fn derived_tables_copy_at_most_one_chunk_per_publish() {
 
     let mut state = LiveState::new(model.clone());
     let mut engine = LiveEngine::initial(&state, Backend::Exhaustive, 1);
-    let mut compactions = 0;
     for i in 0..1000 {
         let parent = interior[i % interior.len()];
         state.apply(&UpdateEvent::AddItem { parent }).unwrap();
         let next = LiveEngine::next_from(&engine, &state);
-        let copies = next.engine().copied_since(engine.engine());
-        // A publish either appends into one chunk or compacts the table.
-        for (table, &(segments, bytes)) in copies.iter().enumerate() {
-            assert_eq!(segments, 1, "add {i} table {table}");
-            if bytes > chunk_bytes {
-                compactions += 1;
-            }
+        for (table, &(chunks, bytes)) in next
+            .engine()
+            .copied_since(engine.engine())
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(chunks, 1, "add {i} table {table}");
+            assert!(
+                bytes <= chunk_bytes,
+                "add {i} table {table}: {bytes} bytes copied"
+            );
         }
+        assert!(
+            next.copied_bytes_since(&engine) <= 5 * chunk_bytes,
+            "add {i}"
+        );
         engine = next;
     }
-    assert!(
-        (3..=6).contains(&compactions),
-        "{compactions} compactions over 1000 adds"
-    );
-    let (_, tail) = engine.engine().catalog_segments();
-    assert!(
-        tail > taxrec_factors::COW_CHUNK_ROWS,
-        "tail of {tail} rows must span several chunks"
-    );
 
     // One more add: at most one chunk per derived table, and per model
     // table (the node and next-item offset rows).
@@ -289,15 +288,6 @@ fn derived_tables_copy_at_most_one_chunk_per_publish() {
         })
         .unwrap();
     let after_add = LiveEngine::next_from(&engine, &state);
-    for (table, &(segments, bytes)) in after_add
-        .engine()
-        .copied_since(engine.engine())
-        .iter()
-        .enumerate()
-    {
-        assert!(segments <= 1, "table {table}: {segments} segments copied");
-        assert!(bytes <= chunk_bytes, "table {table}: {bytes} bytes copied");
-    }
     assert!(after_add.model().chunk_sharing_with(engine.model()).1 <= 2);
     assert!(after_add.copied_bytes_since(&engine) <= 5 * chunk_bytes);
     assert!(after_add.copied_bytes_since(&engine) > 0);

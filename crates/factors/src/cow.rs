@@ -19,11 +19,10 @@
 //! The chunk size trades publish cost against read indirection: every
 //! mutation copies at most `COW_CHUNK_ROWS × K` floats, while `row()`
 //! pays one division + one extra pointer chase over a flat matrix.
-//! Compaction is structural by construction — chunks are always full
-//! except the tail, so a long-lived update stream never fragments the
-//! storage (the analogue of [`crate::GrowMatrix`]'s threshold
-//! compaction, achieved by keeping the invariant instead of restoring
-//! it).
+//! Chunks are always full except the tail, so a long-lived update
+//! stream never fragments the storage and nothing ever needs
+//! compacting; a blocked scan walks [`CowMatrix::chunks`] as whole
+//! contiguous blocks with no per-row indirection.
 
 use crate::matrix::FactorMatrix;
 use std::sync::Arc;
@@ -45,32 +44,72 @@ pub struct CowMatrix {
 impl CowMatrix {
     /// All-zero matrix.
     pub fn zeros(rows: usize, k: usize) -> CowMatrix {
-        assert!(k > 0, "factor dimension must be positive");
-        let mut chunks = Vec::with_capacity(rows.div_ceil(COW_CHUNK_ROWS));
-        let mut done = 0;
-        while done < rows {
-            let n = COW_CHUNK_ROWS.min(rows - done);
-            chunks.push(Arc::new(FactorMatrix::zeros(n, k)));
-            done += n;
-        }
-        CowMatrix { chunks, rows, k }
+        let chunks = (0..rows)
+            .step_by(COW_CHUNK_ROWS)
+            .map(|first| FactorMatrix::zeros(COW_CHUNK_ROWS.min(rows - first), k))
+            .collect();
+        CowMatrix::from_chunks(k, chunks)
     }
 
     /// Split a dense matrix into chunks (one copy; startup/decode path).
     pub fn from_dense(m: FactorMatrix) -> CowMatrix {
-        let (rows, k) = (m.rows(), m.k());
-        let mut chunks = Vec::with_capacity(rows.div_ceil(COW_CHUNK_ROWS));
-        let mut done = 0;
-        while done < rows {
-            let n = COW_CHUNK_ROWS.min(rows - done);
-            let mut chunk = FactorMatrix::zeros(n, k);
-            chunk
-                .as_mut_slice()
-                .copy_from_slice(&m.as_slice()[done * k..(done + n) * k]);
-            chunks.push(Arc::new(chunk));
-            done += n;
+        let k = m.k();
+        let chunks = m
+            .as_slice()
+            .chunks(COW_CHUNK_ROWS * k)
+            .map(|flat| {
+                let mut chunk = FactorMatrix::zeros(flat.len() / k, k);
+                chunk.as_mut_slice().copy_from_slice(flat);
+                chunk
+            })
+            .collect();
+        CowMatrix::from_chunks(k, chunks)
+    }
+
+    /// Take ownership of row chunks built in row order (the bulk path:
+    /// a table computed chunk by chunk is shared as-is, never copied).
+    ///
+    /// # Panics
+    /// If `k == 0`, a chunk is not `k` wide, or the chunks break the
+    /// layout every other constructor keeps: each holds exactly
+    /// [`COW_CHUNK_ROWS`] rows except the last, which holds `1..=`
+    /// that many.
+    pub fn from_chunks(k: usize, chunks: Vec<FactorMatrix>) -> CowMatrix {
+        assert!(k > 0, "factor dimension must be positive");
+        let last = chunks.len().saturating_sub(1);
+        let mut rows = 0;
+        for (i, c) in chunks.iter().enumerate() {
+            assert_eq!(c.k(), k, "chunk {i} width {} != K {k}", c.k());
+            let full = c.rows() == COW_CHUNK_ROWS;
+            assert!(
+                full || (i == last && c.rows() > 0),
+                "chunk {i} of {} holds {} rows: only the last may be short, and none empty",
+                chunks.len(),
+                c.rows()
+            );
+            rows += c.rows();
         }
-        CowMatrix { chunks, rows, k }
+        CowMatrix {
+            chunks: chunks.into_iter().map(Arc::new).collect(),
+            rows,
+            k,
+        }
+    }
+
+    /// Append every row of an iterator of `&[f32]` rows, in order, to an
+    /// empty matrix of width `k`.
+    ///
+    /// # Panics
+    /// If `k == 0` or a row is not `k` wide.
+    pub fn from_rows<'a, I>(k: usize, rows: I) -> CowMatrix
+    where
+        I: IntoIterator<Item = &'a [f32]>,
+    {
+        let mut m = CowMatrix::zeros(0, k);
+        for row in rows {
+            m.push_row(row);
+        }
+        m
     }
 
     /// Materialise one contiguous owned copy (training, tests).
@@ -134,15 +173,16 @@ impl CowMatrix {
         Arc::make_mut(&mut self.chunks[r / COW_CHUNK_ROWS]).row_mut(r % COW_CHUNK_ROWS)
     }
 
-    /// Append one row. Opens a fresh tail chunk when the current one is
-    /// full; otherwise copies the tail chunk if shared, then appends.
+    /// Append one row. Opens a fresh tail chunk, with room for a full
+    /// chunk of rows, when the current one is full; otherwise copies
+    /// the tail chunk if shared, then appends.
     ///
     /// # Panics
     /// If `row.len() != k()`.
     pub fn push_row(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.k, "row width {} != K {}", row.len(), self.k);
         if self.rows.is_multiple_of(COW_CHUNK_ROWS) {
-            let mut chunk = FactorMatrix::zeros(0, self.k);
+            let mut chunk = FactorMatrix::with_capacity(COW_CHUNK_ROWS, self.k);
             chunk.push_row(row);
             self.chunks.push(Arc::new(chunk));
         } else {
@@ -298,19 +338,77 @@ mod tests {
     }
 
     #[test]
+    fn push_after_clone_copies_exactly_one_chunk() {
+        let chunk_bytes = |rows: usize| (rows * 2 * std::mem::size_of::<f32>()) as u64;
+        let prev = CowMatrix::from_dense(filled(2 * COW_CHUNK_ROWS + 5, 2));
+        assert_eq!(prev.clone().copied_since(&prev), (0, 0));
+        let mut next = prev.clone();
+        next.push_row(&[-1.0; 2]);
+        assert_eq!(next.copied_since(&prev), (1, chunk_bytes(6)));
+        // A second push lands in the now-unique chunk: still one.
+        next.push_row(&[-2.0; 2]);
+        assert_eq!(next.copied_since(&prev), (1, chunk_bytes(7)));
+        // A push that opens a fresh chunk shares every older one.
+        let full = CowMatrix::from_dense(filled(COW_CHUNK_ROWS, 2));
+        let mut opened = full.clone();
+        opened.push_row(&[0.0; 2]);
+        assert_eq!(opened.copied_since(&full), (1, chunk_bytes(1)));
+    }
+
+    #[test]
     fn chunk_layout_is_determined_by_row_count() {
-        // Built by append vs built by split: identical layout and values.
-        let dense = filled(2 * COW_CHUNK_ROWS + 7, 2);
-        let split = CowMatrix::from_dense(dense.clone());
-        let mut grown = CowMatrix::zeros(0, 2);
-        for r in 0..dense.rows() {
-            grown.push_row(dense.row(r));
+        // Built by split, by append, from an iterator and from chunks
+        // filled in place: identical layout and values.
+        for rows in [
+            0,
+            1,
+            COW_CHUNK_ROWS,
+            COW_CHUNK_ROWS + 1,
+            2 * COW_CHUNK_ROWS + 7,
+        ] {
+            let dense = filled(rows, 2);
+            let split = CowMatrix::from_dense(dense.clone());
+            let mut pushed = CowMatrix::zeros(0, 2);
+            for r in 0..rows {
+                pushed.push_row(dense.row(r));
+            }
+            let from_rows = CowMatrix::from_rows(2, (0..rows).map(|r| dense.row(r)));
+            let mut chunks: Vec<FactorMatrix> = Vec::new();
+            for r in 0..rows {
+                if r % COW_CHUNK_ROWS == 0 {
+                    chunks.push(FactorMatrix::with_capacity(COW_CHUNK_ROWS, 2));
+                }
+                chunks.last_mut().unwrap().push_row(dense.row(r));
+            }
+            let from_chunks = CowMatrix::from_chunks(2, chunks);
+            for built in [&pushed, &from_rows, &from_chunks] {
+                assert_eq!(&split, built, "{rows} rows");
+                assert_eq!(split.rows(), built.rows());
+                assert_eq!(split.num_chunks(), built.num_chunks());
+                for (a, b) in split.chunks().iter().zip(built.chunks()) {
+                    assert_eq!(a.rows(), b.rows());
+                }
+            }
         }
-        assert_eq!(split, grown);
-        assert_eq!(split.num_chunks(), grown.num_chunks());
-        for (a, b) in split.chunks().iter().zip(grown.chunks()) {
-            assert_eq!(a.rows(), b.rows());
-        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only the last may be short")]
+    fn from_chunks_rejects_a_short_middle_chunk() {
+        let _ = CowMatrix::from_chunks(
+            2,
+            vec![
+                filled(COW_CHUNK_ROWS, 2),
+                filled(COW_CHUNK_ROWS - 1, 2),
+                filled(3, 2),
+            ],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "none empty")]
+    fn from_chunks_rejects_an_empty_tail_chunk() {
+        let _ = CowMatrix::from_chunks(2, vec![filled(COW_CHUNK_ROWS, 2), filled(0, 2)]);
     }
 
     #[test]

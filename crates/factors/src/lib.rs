@@ -18,13 +18,11 @@
 //!   flush threshold (the paper's `th = 0.1`);
 //! * [`ops`] — the tiny dense-vector kernels (dot, axpy) every hot loop
 //!   uses;
-//! * [`GrowMatrix`] — an append-only segmented matrix (shared immutable
-//!   base + owned tail) for live-serving snapshots that must absorb new
-//!   rows without recopying the catalog;
 //! * [`CowMatrix`] — chunked copy-on-write storage (`Arc`-shared
-//!   fixed-size row chunks) so cloning a whole model is refcount bumps
-//!   and mutating a row copies one chunk — the persistent backing of
-//!   the live `TfModel`;
+//!   fixed-size row chunks) so cloning a whole table is refcount bumps
+//!   and mutating or appending a row copies at most one chunk — the
+//!   persistent backing of the live `TfModel` and of every table
+//!   derived from it for serving (effective factors, scan shards);
 //! * [`QuantMatrix`] — an int8-quantized shadow of a factor table in
 //!   the same `Arc`-shared chunk layout, feeding first-pass scan
 //!   kernels while keeping live publishes O(change).
@@ -33,7 +31,6 @@
 
 pub mod cache;
 pub mod cow;
-pub mod grow;
 pub mod locked;
 pub mod matrix;
 pub mod ops;
@@ -41,7 +38,6 @@ pub mod quant;
 
 pub use cache::DriftCache;
 pub use cow::{CowMatrix, COW_CHUNK_ROWS};
-pub use grow::GrowMatrix;
 pub use locked::SharedFactors;
 pub use matrix::FactorMatrix;
 pub use quant::{QuantChunk, QuantMatrix};

@@ -24,6 +24,17 @@ impl FactorMatrix {
         }
     }
 
+    /// Empty (zero-row) matrix with room for `rows` rows, so filling it
+    /// by [`push_row`](Self::push_row) never reallocates.
+    pub fn with_capacity(rows: usize, k: usize) -> Self {
+        assert!(k > 0, "factor dimension must be positive");
+        FactorMatrix {
+            data: Vec::with_capacity(rows * k),
+            rows: 0,
+            k,
+        }
+    }
+
     /// Gaussian-initialised matrix, entries `~ N(0, sigma)`.
     pub fn gaussian<R: Rng + ?Sized>(rows: usize, k: usize, sigma: f32, rng: &mut R) -> Self {
         let mut m = Self::zeros(rows, k);
@@ -201,6 +212,18 @@ mod tests {
         m.row_mut(0).copy_from_slice(&[3.0, 0.0]);
         m.row_mut(1).copy_from_slice(&[0.0, 4.0]);
         assert!((m.frob_norm_sq() - 25.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn with_capacity_fills_by_push_without_reallocating() {
+        let mut m = FactorMatrix::with_capacity(3, 2);
+        assert_eq!(m.rows(), 0);
+        let reserved = m.as_slice().as_ptr();
+        for r in 0..3 {
+            m.push_row(&[r as f32, -(r as f32)]);
+        }
+        assert_eq!(m.as_slice().as_ptr(), reserved);
+        assert_eq!(m.row(2), &[2.0, -2.0]);
     }
 
     #[test]
