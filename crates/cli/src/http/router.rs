@@ -625,7 +625,8 @@ fn parse_body(body: &[u8]) -> Result<Json, String> {
     json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))
 }
 
-/// Extract and validate `{"history": [[item, ...], ...]}`.
+/// Extract and validate `{"history": [[item, ...], ...]}`, each basket
+/// sorted and de-duplicated (the [`UpdateEvent`] history contract).
 fn fold_in_history(parsed: &Json) -> Result<Vec<Transaction>, String> {
     let Some(baskets) = parsed.get("history").and_then(Json::as_array) else {
         return Err("body must contain \"history\": [[item ids], ...]".to_string());
@@ -643,6 +644,11 @@ fn fold_in_history(parsed: &Json) -> Result<Vec<Transaction>, String> {
             };
             tx.push(ItemId(id));
         }
+        // Fold-in samples negatives by binary search over the basket,
+        // and a repeat would dilute the Markov weight 1/|b|: log every
+        // basket sorted and de-duplicated.
+        tx.sort_unstable();
+        tx.dedup();
         total += tx.len();
         if total > MAX_FOLD_ITEMS {
             return Err(format!("history exceeds {MAX_FOLD_ITEMS} items"));

@@ -864,6 +864,42 @@ mod tests {
         }
     }
 
+    /// Client baskets reach the log sorted and de-duplicated: an
+    /// unsorted basket with a repeat folds exactly like its normal form,
+    /// and (in a debug build, where negative sampling asserts sorted
+    /// baskets) the applier survives it and keeps acking writes.
+    #[test]
+    fn fold_in_normalises_client_baskets() {
+        let st = server();
+        let mut users = Vec::new();
+        for history in ["[[5,3,3]]", "[[3,5]]"] {
+            let body = format!("{{\"history\": {history}, \"steps\": 60, \"seed\": 4}}");
+            let r = post(&st, "/users/fold-in", &body);
+            assert_eq!(r.status, 200, "{history}: {}", r.body);
+            users.push(
+                crate::json::parse(&r.body)
+                    .unwrap()
+                    .get("user")
+                    .and_then(crate::json::Json::as_u64)
+                    .unwrap() as usize,
+            );
+        }
+        let parent = interior_parent(&st);
+        let r = post(&st, "/items", &format!("{{\"parent\": {parent}}}"));
+        assert_eq!(r.status, 200, "{}", r.body);
+        let snap = st.live().cell().load();
+        let factor = |user: usize| {
+            let mut out = vec![0.0f32; snap.model().k()];
+            snap.model().copy_user_factor(user, &mut out);
+            out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        assert_eq!(factor(users[0]), factor(users[1]));
+        let normal = vec![vec![ItemId(3), ItemId(5)]];
+        for &user in &users {
+            assert_eq!(snap.folded_history(user).unwrap(), normal.as_slice());
+        }
+    }
+
     #[test]
     fn live_stats_route_tracks_activity() {
         let st = server();

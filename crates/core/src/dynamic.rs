@@ -9,7 +9,12 @@
 //! * [`fold_in_user`] — compute a factor for a user who was not in the
 //!   training matrix, by running the user-gradient-only BPR updates
 //!   against the frozen item factors. The standard fold-in trick for
-//!   latent factor models; no other parameter moves.
+//!   latent factor models; no other parameter moves. Public callers
+//!   pass a [`Scorer`] whose tables the fold reads; the live write path,
+//!   tier faults and tiered snapshots fold straight from the model's
+//!   offsets, summing only the few effective rows each SGD step reads
+//!   (see [`ItemRows`]) — bit-identical, and no catalog-sized table is
+//!   built per event.
 //! * [`TfTrainer::resume`] — warm-start training of an existing model on
 //!   new data (more epochs, new transactions), preserving learned state.
 
@@ -118,6 +123,64 @@ impl TfModel {
     }
 }
 
+/// Where a fold reads effective item rows from. One SGD step reads two
+/// item rows plus the next-item rows of up to `B` earlier baskets — a
+/// handful of rows, each a sum of at most `U` offsets — so the two
+/// sources trade a table lookup against that sum:
+///
+/// * a [`Scorer`] lends rows of the tables it already holds (the read
+///   path's tier fault, which has one at hand);
+/// * a [`TfModel`] sums each row on demand from its offsets
+///   ([`TfModel::effective_row_into`]) — the write path, tier faults
+///   outside a scorer, and snapshots, none of which would otherwise pay
+///   for a catalog-sized table.
+///
+/// Both yield the same bits, so a fold is the same function of
+/// `(history, steps, seed, n_items)` whichever source runs it.
+pub(crate) trait ItemRows {
+    fn model(&self) -> &TfModel;
+    /// Effective long-term factor `v_item`, borrowed or written to `buf`.
+    fn item_row<'a>(&'a self, item: ItemId, buf: &'a mut [f32]) -> &'a [f32];
+    /// Effective next-item factor `v→_item`, borrowed or written to `buf`.
+    fn next_item_row<'a>(&'a self, item: ItemId, buf: &'a mut [f32]) -> &'a [f32];
+}
+
+impl<M: std::ops::Deref<Target = TfModel>> ItemRows for Scorer<M> {
+    fn model(&self) -> &TfModel {
+        Scorer::model(self)
+    }
+
+    fn item_row<'a>(&'a self, item: ItemId, _buf: &'a mut [f32]) -> &'a [f32] {
+        self.item_factor(item)
+    }
+
+    fn next_item_row<'a>(&'a self, item: ItemId, _buf: &'a mut [f32]) -> &'a [f32] {
+        self.next_item_factor(item)
+    }
+}
+
+impl ItemRows for TfModel {
+    fn model(&self) -> &TfModel {
+        self
+    }
+
+    fn item_row<'a>(&'a self, item: ItemId, buf: &'a mut [f32]) -> &'a [f32] {
+        self.effective_row_into(&self.node_factors, self.taxonomy.item_node(item), buf);
+        buf
+    }
+
+    fn next_item_row<'a>(&'a self, item: ItemId, buf: &'a mut [f32]) -> &'a [f32] {
+        self.effective_row_into(&self.next_factors, self.taxonomy.item_node(item), buf);
+        buf
+    }
+}
+
+/// Re-run the fold a [`FoldRecipe`] records — the tier's fault and
+/// snapshot paths, and every live fold-in or refold.
+pub(crate) fn refold(rows: &impl ItemRows, r: &FoldRecipe) -> Vec<f32> {
+    fold_in(rows, &r.history, r.steps, r.seed, r.n_items)
+}
+
 /// Compute a latent factor for an out-of-matrix user from their observed
 /// transactions, against frozen item factors.
 ///
@@ -125,6 +188,10 @@ impl TfModel {
 /// purchase `(t, i)`, a catalog negative `j`, and ascend
 /// `ln σ(s_t(i) − s_t(j))` in the user coordinate. Returns the folded-in
 /// factor; score with [`folded_user_query`].
+///
+/// Every basket of `history` must be sorted and free of duplicates, the
+/// contract of [`sample_negative`] (the live event path normalises
+/// client baskets before logging them).
 pub fn fold_in_user<M: std::ops::Deref<Target = TfModel>>(
     scorer: &Scorer<M>,
     history: &[Transaction],
@@ -149,7 +216,19 @@ pub fn fold_in_user_with_catalog<M: std::ops::Deref<Target = TfModel>>(
     seed: u64,
     n_items: usize,
 ) -> Vec<f32> {
-    let model = scorer.model();
+    fold_in(scorer, history, steps, seed, n_items)
+}
+
+/// The one fold SGD loop behind [`fold_in_user_with_catalog`] and
+/// [`refold`], over either row source.
+fn fold_in(
+    rows: &impl ItemRows,
+    history: &[Transaction],
+    steps: usize,
+    seed: u64,
+    n_items: usize,
+) -> Vec<f32> {
+    let model = rows.model();
     let cfg = model.config();
     let k = model.k();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -166,6 +245,10 @@ pub fn fold_in_user_with_catalog<M: std::ops::Deref<Target = TfModel>>(
     }
     let mut q = vec![0.0f32; k];
     let mut diff = vec![0.0f32; k];
+    // Rows an on-demand source sums into; a scorer lends its own.
+    let mut buf_i = vec![0.0f32; k];
+    let mut buf_j = vec![0.0f32; k];
+    let mut buf_next = vec![0.0f32; k];
     for _ in 0..steps {
         let &(t, i) = &purchases[rng.gen_range(0..purchases.len())];
         let basket = &history[t];
@@ -183,12 +266,12 @@ pub fn fold_in_user_with_catalog<M: std::ops::Deref<Target = TfModel>>(
                 }
                 let w = cfg.markov_weight(n) / b.len() as f32;
                 for &l in b {
-                    ops::axpy(w, scorer.next_item_factor(l), &mut q);
+                    ops::axpy(w, rows.next_item_row(l, &mut buf_next), &mut q);
                 }
             }
         }
-        let vi = scorer.item_factor(i);
-        let vj = scorer.item_factor(j);
+        let vi = rows.item_row(i, &mut buf_i);
+        let vj = rows.item_row(j, &mut buf_j);
         ops::sub_into(vi, vj, &mut diff);
         let c = 1.0 - ops::sigmoid(ops::dot(&q, vi) - ops::dot(&q, vj));
         for z in 0..k {
@@ -330,6 +413,45 @@ mod tests {
         for i in [0u32, 7, 200] {
             assert!((s1.score_item(&q1, ItemId(i)) - s2.score_item(&q, ItemId(i))).abs() < 1e-5);
         }
+    }
+
+    /// `recommend_top_k` ranks with the scorer it builds, so its top-10
+    /// is the scorer's, score bits included — also once shallow adds put
+    /// items above the bottom level, where a leaf-first path-table sum
+    /// reads different offsets.
+    #[test]
+    fn recommend_top_k_is_the_scorers_top_k() {
+        use rand::Rng;
+        let d = data();
+        let mut m = trained(&d, 4);
+        let bits = |recs: Vec<(ItemId, f32)>| -> Vec<(ItemId, u32)> {
+            recs.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
+        };
+        let check = |m: &TfModel, at: &str| {
+            let scorer = Scorer::new(m);
+            for u in 0..200 {
+                let h = d.train.user(u);
+                let want = scorer.top_k_items(&scorer.query(u, h), 10, &[]);
+                assert_eq!(
+                    bits(m.recommend_top_k(u, h, 10)),
+                    bits(want),
+                    "{at} user {u}"
+                );
+            }
+        };
+        check(&m, "trained");
+        let level1 = NodeId(m.taxonomy().nodes_at_level(1)[0]);
+        let mut rng = StdRng::seed_from_u64(3);
+        for step in 0..40 {
+            m.add_item_mut([level1, NodeId::ROOT][step % 2]).unwrap();
+            let node = m.taxonomy().num_nodes() - 1;
+            for offsets in [&mut m.node_factors, &mut m.next_factors] {
+                for v in offsets.row_mut(node) {
+                    *v = rng.gen_range(-0.5f32..0.5);
+                }
+            }
+        }
+        check(&m, "after shallow adds");
     }
 
     #[test]

@@ -83,7 +83,11 @@ pub enum UpdateEvent {
     /// (the paper's new-user story) and becomes servable under a fresh
     /// user id.
     FoldInUser {
-        /// The user's observed baskets, oldest first.
+        /// The user's observed baskets, oldest first. Each basket must
+        /// be sorted and free of duplicates (negative sampling searches
+        /// it; the HTTP route normalises client baskets before logging).
+        /// Not checked by `validate`, so logs written before the route
+        /// normalised still replay.
         history: Vec<Transaction>,
         /// BPR steps for [`crate::dynamic::fold_in_user`] (at most
         /// [`MAX_EVENT_FOLD_STEPS`]).
@@ -100,7 +104,8 @@ pub enum UpdateEvent {
         /// The folded-in user id (must be ≥ the base model's user count).
         user: usize,
         /// The user's complete baskets, oldest first — replaces the
-        /// stored history.
+        /// stored history. Sorted, duplicate-free baskets, as for
+        /// [`FoldInUser`](Self::FoldInUser).
         history: Vec<Transaction>,
         /// BPR steps (at most [`MAX_EVENT_FOLD_STEPS`]).
         steps: usize,

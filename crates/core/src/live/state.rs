@@ -5,9 +5,8 @@
 
 use super::event::UpdateEvent;
 use super::LiveError;
-use crate::dynamic::fold_in_user;
+use crate::dynamic::refold;
 use crate::model::TfModel;
-use crate::scoring::Scorer;
 use crate::tier::FoldRecipe;
 use std::sync::Arc;
 use taxrec_dataset::Transaction;
@@ -345,15 +344,15 @@ impl LiveState {
     /// determinism: the factor depends on every item added before this
     /// event) and return what a fold-in or refold stores: the factor,
     /// the shared history and the recipe that recomputes the factor
-    /// after a tier eviction. Building the scorer here is O(nodes × K)
-    /// per fold — the largest cost left on the write path.
+    /// after a tier eviction. The fold is the recipe run once, summing
+    /// the few effective item rows it reads from the model's offsets —
+    /// `O(steps × (B·|basket| + 2) × U × K)`, independent of the catalog.
     fn fold(
         &self,
         history: &[Transaction],
         steps: usize,
         seed: u64,
     ) -> (Vec<f32>, Arc<[Transaction]>, FoldRecipe) {
-        let factor = fold_in_user(&Scorer::new(&self.model), history, steps, seed);
         let hist: Arc<[Transaction]> = Arc::from(history);
         let recipe = FoldRecipe {
             history: Arc::clone(&hist),
@@ -361,7 +360,7 @@ impl LiveState {
             seed,
             n_items: self.model.num_items(),
         };
-        (factor, hist, recipe)
+        (refold(&self.model, &recipe), hist, recipe)
     }
 }
 
@@ -383,6 +382,8 @@ pub fn replay(state: &mut LiveState, events: &[UpdateEvent]) -> Result<Vec<Appli
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::dynamic::fold_in_user;
+    use crate::scoring::Scorer;
     use taxrec_dataset::{DatasetConfig, SyntheticDataset};
 
     fn state() -> (SyntheticDataset, LiveState) {
@@ -851,6 +852,65 @@ mod tests {
         assert!(Arc::ptr_eq(&s.model.taxonomy, &published.taxonomy));
         assert!(Arc::ptr_eq(&s.model.paths, &published.paths));
         assert_eq!(s.events_applied(), 3);
+    }
+
+    /// Fold-ins, refolds, a tier fault that refolds and a snapshot of a
+    /// tiered state all sum their rows from the model's offsets: none of
+    /// them builds a `Scorer`. Each fold still matches one over a fresh
+    /// scorer, bit for bit.
+    #[test]
+    fn write_fault_and_snapshot_paths_build_no_scorer() {
+        use crate::live::snapshot::encode_live;
+        let (d, mut s) = state();
+        let dir = std::env::temp_dir().join(format!("taxrec-state-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let registry = crate::MetricsRegistry::new();
+        let tier = crate::tier::UserTier::build(
+            &dir.join("no-scorer.cold"),
+            &s.model.user_factors,
+            2,
+            &registry,
+        )
+        .unwrap();
+        s.attach_user_tier(tier);
+        let base = s.model().num_users();
+        let builds = crate::scoring::scorer_builds();
+        add(&mut s, NodeId::ROOT);
+        for u in 0..4 {
+            let history = d.train.user(u).to_vec();
+            s.apply(&UpdateEvent::FoldInUser {
+                history,
+                steps: 40,
+                seed: u as u64,
+            })
+            .unwrap();
+        }
+        s.apply(&UpdateEvent::RefoldUser {
+            user: base,
+            history: d.train.user(9).to_vec(),
+            steps: 40,
+            seed: 9,
+        })
+        .unwrap();
+        // Two hot rows hold the last fold-in and the refold: reading the
+        // second fold-in faults and refolds it.
+        let refolds = s.model().user_tier_stats().unwrap().refolds;
+        let mut faulted = vec![0.0f32; s.model().k()];
+        s.model().copy_user_factor(base + 1, &mut faulted);
+        assert_eq!(s.model().user_tier_stats().unwrap().refolds, refolds + 1);
+        let snapshot = encode_live(&s);
+        assert_eq!(
+            crate::scoring::scorer_builds(),
+            builds,
+            "a Scorer was built"
+        );
+
+        let want = fold_in_user(&Scorer::new(s.model()), d.train.user(1), 40, 1);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&faulted), bits(&want));
+        let decoded = crate::live::snapshot::decode_live(&snapshot).unwrap();
+        assert_eq!(bits(decoded.model().user_factor(base + 1)), bits(&want));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

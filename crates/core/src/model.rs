@@ -193,12 +193,8 @@ impl TfModel {
             None => out.copy_from_slice(self.user_factors.row(user)),
             Some(h) => {
                 assert!(user < h.rows, "user {user} out of {} rows", h.rows);
-                h.tier.copy_row(user, out, |r| {
-                    let scorer = Scorer::new(self);
-                    crate::dynamic::fold_in_user_with_catalog(
-                        &scorer, &r.history, r.steps, r.seed, r.n_items,
-                    )
-                });
+                h.tier
+                    .copy_row(user, out, |r| crate::dynamic::refold(self, r));
             }
         }
     }
@@ -268,15 +264,11 @@ impl TfModel {
         let Some(h) = &self.user_tier else {
             return self.user_factors.clone();
         };
-        let scorer = Scorer::new(self);
         let mut m = CowMatrix::zeros(0, self.k());
         let mut buf = vec![0.0f32; self.k()];
         for u in 0..h.rows {
-            h.tier.peek_row(u, &mut buf, |r| {
-                crate::dynamic::fold_in_user_with_catalog(
-                    &scorer, &r.history, r.steps, r.seed, r.n_items,
-                )
-            });
+            h.tier
+                .peek_row(u, &mut buf, |r| crate::dynamic::refold(self, r));
             m.push_row(&buf);
         }
         m
@@ -387,6 +379,28 @@ impl TfModel {
         CowMatrix::from_chunks(k, chunks)
     }
 
+    /// One row of [`effective_all_nodes`](Self::effective_all_nodes)
+    /// without the table: `out` is zeroed, then `node`'s offsets at
+    /// level ≥ cutoff are added **root first** — the order the forward
+    /// pass accumulates in, so the row has the table's bits.
+    /// ([`item_factor_into`](Self::item_factor_into) sums leaf-first
+    /// over a path truncated by count, which differs in the last bit and,
+    /// for items above the bottom level, in which offsets are summed.)
+    pub(crate) fn effective_row_into(&self, offsets: &CowMatrix, node: NodeId, out: &mut [f32]) {
+        out.fill(0.0);
+        self.add_root_path(offsets, node, out);
+    }
+
+    fn add_root_path(&self, offsets: &CowMatrix, node: NodeId, out: &mut [f32]) {
+        if self.taxonomy.level(node) < self.cutoff_level {
+            return;
+        }
+        if let Some(parent) = self.taxonomy.parent(node) {
+            self.add_root_path(offsets, parent, out);
+        }
+        ops::add_assign(offsets.row(node.index()), out);
+    }
+
     /// Convenience: exhaustively score all items for `(user, history)`
     /// and return the top `k` as `(item, score)`, best first.
     ///
@@ -399,9 +413,7 @@ impl TfModel {
         k: usize,
     ) -> Vec<(ItemId, f32)> {
         let scorer = Scorer::new(self);
-        let mut q = vec![0.0f32; self.k()];
-        self.query_into(user, history, &mut q);
-        scorer.top_k_items(&q, k, &[])
+        scorer.top_k_items(&scorer.query(user, history), k, &[])
     }
 
     /// The three chunked factor tables in `(user, node, next)` order —

@@ -24,6 +24,19 @@ use taxrec_dataset::Transaction;
 use taxrec_factors::{ops, CowMatrix};
 use taxrec_taxonomy::{ItemId, NodeId};
 
+#[cfg(test)]
+thread_local! {
+    /// [`Scorer::new`] calls on this thread: lets a test prove a path
+    /// builds no catalog-sized table.
+    static BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// [`Scorer::new`] calls on the calling thread so far.
+#[cfg(test)]
+pub(crate) fn scorer_builds() -> u64 {
+    BUILDS.with(std::cell::Cell::get)
+}
+
 /// Precomputed effective factors for fast scoring.
 ///
 /// `M` is the model holder: `&TfModel` for borrowed (offline) use,
@@ -40,6 +53,8 @@ pub struct Scorer<M: Deref<Target = TfModel>> {
 impl<M: Deref<Target = TfModel>> Scorer<M> {
     /// Materialise effective factors for `model`.
     pub fn new(model: M) -> Scorer<M> {
+        #[cfg(test)]
+        BUILDS.with(|n| n.set(n.get() + 1));
         let eff_nodes = model.effective_all_nodes(&model.node_factors);
         let eff_next = model.effective_all_nodes(&model.next_factors);
         Scorer {

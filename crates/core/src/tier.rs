@@ -397,8 +397,9 @@ impl UserTier {
 
     /// Copy `user`'s factor into `out`, faulting it into the hot tier on
     /// a miss. `refold` reconstructs a recipe-backed row (the caller
-    /// supplies it so the serving path can reuse its materialised
-    /// [`crate::Scorer`] instead of rebuilding one per fault).
+    /// supplies it so the serving path can read its materialised
+    /// [`crate::Scorer`]'s tables; other callers sum the rows the fold
+    /// reads from the model's offsets).
     ///
     /// Faults are computed outside the tier lock; a source that changed
     /// concurrently (a refold racing a fault) is detected and recomputed,
