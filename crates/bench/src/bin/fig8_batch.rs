@@ -8,9 +8,9 @@
 //! reports end-to-end batch throughput (users/sec) plus the speed-up of
 //! the cascaded backend over exhaustive at the same thread count. A
 //! second table sweeps `--shards-list` catalog shard counts: batched
-//! serving (per-shard scans inside each batch worker) and single-user
-//! scatter-gather (`recommend_scatter`, shard-parallel), asserting the
-//! sharded results stay identical to the unsharded baseline.
+//! serving with the shards scanned one after another inside each batch
+//! worker, asserting the sharded results stay identical to the
+//! unsharded baseline.
 //!
 //! ```text
 //! cargo run --release -p taxrec-bench --bin fig8_batch -- --scale small
@@ -154,24 +154,14 @@ fn main() {
 
     // ── Catalog shard-count sweep ───────────────────────────────────
     // Batched serving scans shards sequentially inside each batch
-    // worker; the scatter column serves ONE user with the scan split
-    // across shard-parallel workers (the latency lever for hot single
-    // requests). Every sharded result is checked against the unsharded
+    // worker. Every sharded result is checked against the unsharded
     // baseline — identical scores, ids, and order.
     let threads = *thread_list.iter().max().unwrap_or(&2);
     let baseline = engine.recommend_batch(&requests, threads);
-    let single_req = &requests[0];
-    let baseline_single = engine.recommend(single_req);
-    let scatter_reps = if smoke { 8 } else { 64 };
     let mut st = Table::new(
-        [
-            "scan shards",
-            "aligned batch users/sec",
-            "scatter 1-user latency",
-            "identical",
-        ]
-        .into_iter()
-        .map(String::from),
+        ["scan shards", "aligned batch users/sec", "identical"]
+            .into_iter()
+            .map(String::from),
     );
     for &s in &shards_list {
         let sharded = RecommendEngine::with_backend_sharded(&model, Backend::Exhaustive, s);
@@ -185,25 +175,10 @@ fn main() {
             );
         }
         let rate = batch as f64 / (t0.elapsed().as_secs_f64() / reps as f64);
-        let t1 = Instant::now();
-        for _ in 0..scatter_reps {
-            let got = sharded.recommend_scatter(single_req, s);
-            assert_eq!(
-                got, baseline_single,
-                "S={s}: scatter-gather ranking diverged from unsharded"
-            );
-        }
-        let scatter_us = t1.elapsed().as_secs_f64() * 1e6 / scatter_reps as f64;
-        st.row([
-            s.to_string(),
-            fmt(rate, 0),
-            format!("{scatter_us:.0} µs"),
-            "yes".to_string(),
-        ]);
+        st.row([s.to_string(), fmt(rate, 0), "yes".to_string()]);
     }
     st.print(&format!(
-        "Catalog shard sweep (batch={batch} users @ {threads} threads; \
-         scatter = 1 user across S shard workers)"
+        "Catalog shard sweep (batch={batch} users @ {threads} threads)"
     ));
 
     // ── Scan-kernel sweep ───────────────────────────────────────────

@@ -31,10 +31,11 @@
 //!    the `Arc` slot itself, swapped under a briefly-held lock.
 //! 2. **Publishes cost `O(change)`, not `O(model)` — end to end.** The
 //!    successor engine is derived via
-//!    [`crate::recommend::RecommendEngine::grown_from`]: the scan
-//!    shards' item tables and the effective-factor tables are chunked
-//!    copy-on-write matrices ([`taxrec_factors::CowMatrix`]) whose
-//!    chunks are all shared with the predecessor snapshot; a new row
+//!    [`crate::recommend::RecommendEngine::grown_from`]: the
+//!    effective-factor tables (the only f32 rows the scans read) are
+//!    chunked copy-on-write matrices ([`taxrec_factors::CowMatrix`]),
+//!    and the scan shards' int8 shadows are chunked the same way; every
+//!    chunk is shared with the predecessor snapshot, and a new row
 //!    copies at most the one 256-row tail chunk it lands in. The
 //!    authoritative [`crate::TfModel`] is **persistent** too: its
 //!    factor tables are `CowMatrix`es as well and its path table sits

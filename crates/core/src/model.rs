@@ -284,66 +284,6 @@ impl TfModel {
         self.next_factors.row(node.index())
     }
 
-    /// Effective long-term item factor `v_i` (Eq. 1), accumulated into `out`.
-    pub fn item_factor_into(&self, item: ItemId, out: &mut [f32]) {
-        out.fill(0.0);
-        for &n in self.paths.path(item) {
-            ops::add_assign(self.node_factors.row(n as usize), out);
-        }
-    }
-
-    /// Effective next-item factor `v→_i`, accumulated into `out`.
-    pub fn next_item_factor_into(&self, item: ItemId, out: &mut [f32]) {
-        out.fill(0.0);
-        for &n in self.paths.path(item) {
-            ops::add_assign(self.next_factors.row(n as usize), out);
-        }
-    }
-
-    /// Effective long-term factor of *any* node (used for category-level
-    /// ranking and cascaded inference): sum of offsets from `node` to the
-    /// cutoff level.
-    pub fn node_factor_into(&self, node: NodeId, out: &mut [f32]) {
-        out.fill(0.0);
-        for n in self.taxonomy.root_path(node) {
-            if self.taxonomy.level(n) >= self.cutoff_level {
-                ops::add_assign(self.node_factors.row(n.index()), out);
-            }
-        }
-    }
-
-    /// The query vector `q` for `user` given their transaction history
-    /// (`history` is the user's past baskets, oldest first; the Markov
-    /// term conditions on the last `B` of them). See the module docs.
-    pub fn query_into(&self, user: usize, history: &[Transaction], out: &mut [f32]) {
-        self.copy_user_factor(user, out);
-        if self.config.max_prev_transactions == 0 {
-            return;
-        }
-        let mut vnext = vec![0.0f32; self.k()];
-        for n in 1..=self.config.max_prev_transactions {
-            if n > history.len() {
-                break;
-            }
-            let basket = &history[history.len() - n];
-            if basket.is_empty() {
-                continue;
-            }
-            let weight = self.config.markov_weight(n) / basket.len() as f32;
-            for &l in basket {
-                self.next_item_factor_into(l, &mut vnext);
-                ops::axpy(weight, &vnext, out);
-            }
-        }
-    }
-
-    /// Affinity `s_t(j) = ⟨q, v_j⟩` of a prepared query to one item.
-    pub fn score_item(&self, query: &[f32], item: ItemId) -> f32 {
-        let mut v = vec![0.0f32; self.k()];
-        self.item_factor_into(item, &mut v);
-        ops::dot(query, &v)
-    }
-
     /// Materialise the effective factors of **all nodes** for the given
     /// offset matrix, in one forward pass (node ids are topological, so
     /// `eff[n] = eff[parent(n)] + w_n` with the cutoff applied). Rows
@@ -382,10 +322,10 @@ impl TfModel {
     /// One row of [`effective_all_nodes`](Self::effective_all_nodes)
     /// without the table: `out` is zeroed, then `node`'s offsets at
     /// level ≥ cutoff are added **root first** — the order the forward
-    /// pass accumulates in, so the row has the table's bits.
-    /// ([`item_factor_into`](Self::item_factor_into) sums leaf-first
-    /// over a path truncated by count, which differs in the last bit and,
-    /// for items above the bottom level, in which offsets are summed.)
+    /// pass accumulates in, so the row has the table's bits. (Training's
+    /// [`PathTable::path`] sums leaf-first over a path truncated by
+    /// count, which differs in the last bit and, for items above the
+    /// bottom level, in which offsets are summed.)
     pub(crate) fn effective_row_into(&self, offsets: &CowMatrix, node: NodeId, out: &mut [f32]) {
         out.fill(0.0);
         self.add_root_path(offsets, node, out);
@@ -473,7 +413,7 @@ impl TfModel {
     /// The dense single-matrix forward pass, kept as the reference the
     /// chunked [`effective_all_nodes`](Self::effective_all_nodes) and
     /// [`Scorer::grown_from`] must match bit for bit.
-    fn effective_all_nodes_dense(&self, offsets: &CowMatrix) -> FactorMatrix {
+    pub(crate) fn effective_all_nodes_dense(&self, offsets: &CowMatrix) -> FactorMatrix {
         let k = self.k();
         let tax = &*self.taxonomy;
         let mut eff = FactorMatrix::zeros(tax.num_nodes(), k);
@@ -522,8 +462,8 @@ mod tests {
     }
 
     fn model(u: usize, b: usize) -> TfModel {
-        // Gaussian node init: these structural tests compare path sums,
-        // which would be trivially zero otherwise.
+        // Gaussian node init: these tests compare path sums, which
+        // would be trivially zero otherwise.
         TfModel::init(
             ModelConfig::tf(u, b)
                 .with_factors(8)
@@ -555,117 +495,71 @@ mod tests {
         assert_eq!(cutoff_for(&tax, 99), 0);
     }
 
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Eq. 1 spelled out: an item's effective factor is the sum of the
+    /// offsets on its root path at level ≥ cutoff, added root first.
     #[test]
     fn item_factor_is_path_sum() {
         let m = model(4, 0);
+        let s = Scorer::new(&m);
         let item = ItemId(3);
+        let mut path: Vec<NodeId> = m.taxonomy.root_path(m.taxonomy.item_node(item)).collect();
+        path.reverse();
         let mut expect = vec![0.0f32; m.k()];
-        for n in m.taxonomy.root_path(m.taxonomy.item_node(item)) {
+        for n in path {
             if m.taxonomy.level(n) >= m.cutoff_level {
                 ops::add_assign(m.node_factors.row(n.index()), &mut expect);
             }
         }
-        let mut got = vec![0.0f32; m.k()];
-        m.item_factor_into(item, &mut got);
-        for (g, e) in got.iter().zip(&expect) {
-            assert!((g - e).abs() < 1e-6);
-        }
+        assert_eq!(bits(s.item_factor(item)), bits(&expect));
     }
 
     #[test]
     fn u1_item_factor_is_leaf_offset_only() {
         let m = model(1, 0);
+        let s = Scorer::new(&m);
         let item = ItemId(7);
-        let mut got = vec![0.0f32; m.k()];
-        m.item_factor_into(item, &mut got);
-        assert_eq!(
-            got.as_slice(),
-            m.node_factors.row(m.taxonomy.item_node(item).index())
-        );
-    }
-
-    #[test]
-    fn node_factor_matches_item_factor_at_leaf() {
-        let m = model(4, 0);
-        let item = ItemId(11);
-        let node = m.taxonomy.item_node(item);
-        let mut a = vec![0.0f32; m.k()];
-        let mut b = vec![0.0f32; m.k()];
-        m.item_factor_into(item, &mut a);
-        m.node_factor_into(node, &mut b);
-        assert_eq!(a, b);
+        let leaf = m.taxonomy.item_node(item);
+        assert_eq!(bits(s.item_factor(item)), bits(m.node_offset(leaf)));
+        assert_eq!(bits(s.next_item_factor(item)), bits(m.next_offset(leaf)));
     }
 
     #[test]
     fn query_without_markov_is_user_factor() {
         let m = model(4, 0);
-        let mut q = vec![0.0f32; m.k()];
-        m.query_into(3, &[vec![ItemId(0)], vec![ItemId(1)]], &mut q);
-        assert_eq!(q.as_slice(), m.user_factor(3));
+        let s = Scorer::new(&m);
+        let q = s.query(3, &[vec![ItemId(0)], vec![ItemId(1)]]);
+        assert_eq!(bits(&q), bits(m.user_factor(3)));
     }
 
     #[test]
     fn query_with_markov_adds_next_factors() {
         let m = model(4, 1);
-        let hist = vec![vec![ItemId(2), ItemId(5)]];
-        let mut q = vec![0.0f32; m.k()];
-        m.query_into(0, &hist, &mut q);
+        let s = Scorer::new(&m);
+        let q = s.query(0, &[vec![ItemId(2), ItemId(5)]]);
         // Expected: v_u + (α₁/2)(v→_2 + v→_5)
         let mut expect = m.user_factor(0).to_vec();
         let w = m.config.markov_weight(1) / 2.0;
-        let mut tmp = vec![0.0f32; m.k()];
-        for &i in &[ItemId(2), ItemId(5)] {
-            m.next_item_factor_into(i, &mut tmp);
-            ops::axpy(w, &tmp, &mut expect);
+        for i in [ItemId(2), ItemId(5)] {
+            ops::axpy(w, s.next_item_factor(i), &mut expect);
         }
-        for (a, b) in q.iter().zip(&expect) {
-            assert!((a - b).abs() < 1e-5);
-        }
+        assert_eq!(bits(&q), bits(&expect));
     }
 
     #[test]
     fn higher_order_uses_older_baskets_with_decay() {
         let m = model(4, 2);
+        let s = Scorer::new(&m);
         let hist = vec![vec![ItemId(1)], vec![ItemId(2)]];
-        let mut q2 = vec![0.0f32; m.k()];
-        m.query_into(0, &hist, &mut q2);
         // Dropping the older basket must change the query (it contributes
         // with weight α₂ > 0).
-        let mut q1 = vec![0.0f32; m.k()];
-        m.query_into(0, &hist[1..], &mut q1);
-        assert_ne!(q1, q2);
+        assert_ne!(s.query(0, &hist), s.query(0, &hist[1..]));
     }
 
-    #[test]
-    fn effective_all_nodes_matches_per_item() {
-        let m = model(3, 0);
-        let eff = m.effective_all_nodes(&m.node_factors);
-        let mut buf = vec![0.0f32; m.k()];
-        for item in m.taxonomy.item_ids() {
-            m.item_factor_into(item, &mut buf);
-            let row = eff.row(m.taxonomy.item_node(item).index());
-            for (a, b) in buf.iter().zip(row) {
-                assert!((a - b).abs() < 1e-5, "item {item}");
-            }
-        }
-    }
-
-    #[test]
-    fn effective_all_nodes_matches_node_factor() {
-        let m = model(4, 0);
-        let eff = m.effective_all_nodes(&m.node_factors);
-        let mut buf = vec![0.0f32; m.k()];
-        for node in m.taxonomy.node_ids() {
-            m.node_factor_into(node, &mut buf);
-            let row = eff.row(node.index());
-            for (a, b) in buf.iter().zip(row) {
-                assert!((a - b).abs() < 1e-5, "node {node}");
-            }
-        }
-    }
-
-    /// The 1e-5 tolerance above would hide a changed summation order;
-    /// this pins the chunked build to the dense pass bit for bit, on a
+    /// Pins the chunked build to the dense pass bit for bit, on a
     /// trained model at every cutoff and on node counts either side of
     /// one chunk.
     #[test]
@@ -712,12 +606,10 @@ mod tests {
     #[test]
     fn score_item_is_query_dot_factor() {
         let m = model(4, 1);
-        let hist = vec![vec![ItemId(9)]];
-        let mut q = vec![0.0f32; m.k()];
-        m.query_into(2, &hist, &mut q);
-        let mut v = vec![0.0f32; m.k()];
-        m.item_factor_into(ItemId(4), &mut v);
-        assert!((m.score_item(&q, ItemId(4)) - ops::dot(&q, &v)).abs() < 1e-6);
+        let s = Scorer::new(&m);
+        let q = s.query(2, &[vec![ItemId(9)]]);
+        let want = ops::dot(&q, s.item_factor(ItemId(4)));
+        assert_eq!(s.score_item(&q, ItemId(4)).to_bits(), want.to_bits());
     }
 
     #[test]

@@ -14,13 +14,13 @@ use crate::inference::{Beam, CascadeConfig};
 use crate::model::TfModel;
 use crate::obs::{ScanMetrics, TraceBuilder};
 use crate::scoring::Scorer;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use taxrec_dataset::Transaction;
-use taxrec_factors::{CowMatrix, QuantMatrix, COW_CHUNK_ROWS};
-use taxrec_taxonomy::ItemId;
+use taxrec_factors::{QuantMatrix, COW_CHUNK_ROWS};
+use taxrec_taxonomy::{ItemId, NodeId};
 
 /// Knobs of the int8-quantized scan backend.
 ///
@@ -138,126 +138,22 @@ impl Scratch {
     }
 }
 
-/// One contiguous slice of the catalog, owning the effective factors of
-/// items `[first, first + items.rows())` plus their int8 shadow for the
-/// quantized first pass. Both tables chunk at the same
-/// [`COW_CHUNK_ROWS`] boundaries, counted from `first`.
+/// One contiguous slice of the catalog, items `[first, first +
+/// quant.rows())`: the int8 shadow of their effective factors, chunked
+/// at [`COW_CHUNK_ROWS`] boundaries counted from `first`. The f32 rows
+/// are not copied here — both scans read each item's row straight from
+/// the scorer's effective-factor table.
 #[derive(Debug, Clone)]
 struct CatalogShard {
     first: usize,
-    items: CowMatrix,
     quant: QuantMatrix,
 }
 
-// The f32 scan scores one item chunk per block.
-const _: () = assert!(COW_CHUNK_ROWS == SCORE_BLOCK);
-
-/// Blocked top-K scan of one shard: dense dot products per block, then
-/// a thresholded sweep into the (reset) reusable heap. Identical kernel
-/// to the unsharded scan — only the item-id offset differs. Returns
-/// `(rows scanned, blocks scored)` for the per-shard scan counters.
-fn scan_shard(
-    shard: &CatalogShard,
-    kernel: F32Kernel,
-    query: &[f32],
-    exclude: &[ItemId],
-    k: usize,
-    topk: &mut TopK,
-    block: &mut [f32],
-) -> (u64, u64) {
-    topk.reset(k);
-    for (ci, chunk) in shard.items.chunks().iter().enumerate() {
-        let first = shard.first + ci * COW_CHUNK_ROWS;
-        let scores = &mut block[..chunk.rows()];
-        kernel.score_block(query, chunk.as_slice(), scores);
-        let threshold = topk.threshold();
-        for (off, &s) in scores.iter().enumerate() {
-            // Fast reject: full heaps only admit strictly better
-            // scores, and the threshold only rises within a block.
-            if s <= threshold && topk.len() >= k {
-                continue;
-            }
-            let item = ItemId((first + off) as u32);
-            if exclude.binary_search(&item).is_ok() {
-                continue;
-            }
-            topk.offer(item, s);
-        }
+impl CatalogShard {
+    /// The item ids this shard owns.
+    fn items(&self) -> Range<usize> {
+        self.first..self.first + self.quant.rows()
     }
-    (shard.items.rows() as u64, shard.items.num_chunks() as u64)
-}
-
-/// Quantized branch-and-bound scan of one shard.
-///
-/// Per chunk: exact int8 block dots ([`F32Kernel::dot_i8_block`]),
-/// the vectorized affine combine ([`QuantQuery::approx_block`]), then
-/// a pruned exact pass — a row is rescored with the exact f32 dot
-/// only when its approximate score plus the rigorous error bound
-/// ([`QuantQuery::error_bound`]) still reaches the evolving k-th
-/// exact score. Every row whose true score could belong to (or tie
-/// into) the top-K is therefore rescored — skipping on a tie would
-/// lose the id tie-break — so the result is exactly the exhaustive
-/// ranking under every kernel dispatch: the integer dots and the
-/// pure-f32 combine are dispatch-invariant, and the exact rescore
-/// uses the bit-identical f32 kernel family
-/// ([`Scorer::score_item`]'s).
-///
-/// Returns `(rows scanned, rows rescored in f32)`; the caller holds
-/// the rescore count against [`rescore_budget`].
-#[allow(clippy::too_many_arguments)]
-fn scan_shard_quantized(
-    shard: &CatalogShard,
-    kernel: F32Kernel,
-    qq: &QuantQuery,
-    query: &[f32],
-    exclude: &[ItemId],
-    k: usize,
-    dots: &mut Vec<i32>,
-    approx: &mut Vec<f32>,
-    topk: &mut TopK,
-) -> (u64, u64) {
-    // Rigorous slack for this (query, table) pair: every row's exact
-    // f32 score is within `eps` of its approximate score.
-    let eps = qq.error_bound(shard.quant.max_scale(), shard.quant.max_abs_sum());
-    topk.reset(k);
-    // Rows with approximation strictly below `threshold − eps` cannot
-    // reach the k-th exact score and are skipped without touching the
-    // f32 table. −∞ until the heap fills (every row competes); +∞ for
-    // k = 0 (nothing does).
-    let mut cutoff = if k == 0 {
-        f64::INFINITY
-    } else {
-        f64::NEG_INFINITY
-    };
-    let mut rescored = 0u64;
-    dots.clear();
-    dots.resize(COW_CHUNK_ROWS, 0);
-    approx.clear();
-    approx.resize(COW_CHUNK_ROWS, 0.0);
-    let mut base = 0usize;
-    for (chunk, items) in shard.quant.chunks().iter().zip(shard.items.chunks()) {
-        let n = chunk.rows();
-        let dots = &mut dots[..n];
-        let approx = &mut approx[..n];
-        kernel.dot_i8_block(qq.codes(), chunk.flat_codes(), dots);
-        qq.approx_block(dots, chunk.mins(), chunk.scales(), approx);
-        for (r, &s) in approx.iter().enumerate() {
-            if (s as f64) < cutoff {
-                continue;
-            }
-            let item = ItemId((shard.first + base + r) as u32);
-            if exclude.binary_search(&item).is_ok() {
-                continue;
-            }
-            topk.offer(item, kernel.dot(query, items.row(r)));
-            rescored += 1;
-            if topk.len() == k {
-                cutoff = topk.threshold() as f64 - eps;
-            }
-        }
-        base += n;
-    }
-    (shard.quant.rows() as u64, rescored)
 }
 
 /// Exact rescores a quantized scan of a `shard_rows`-row shard may
@@ -277,9 +173,11 @@ fn rescore_budget(cfg: &QuantizedConfig, k: usize, shard_rows: u64) -> u64 {
 /// A frozen model ready to serve batched top-K recommendations.
 ///
 /// Construction materialises the effective factors of every taxonomy
-/// node (via [`Scorer`]) *and* copies the leaf factors, in item-id
-/// order, into per-shard item tables so the exhaustive path scans
-/// contiguous 256-row blocks instead of hopping through the node arena.
+/// node once (via [`Scorer`]); that table is the only f32 copy of an
+/// item row. The exhaustive scan reads each item's row from it through
+/// the taxonomy's item → leaf-node map, in 256-row blocks of item ids,
+/// and the only per-shard state is the int8 shadow the quantized first
+/// pass scans.
 ///
 /// ```
 /// use taxrec_core::recommend::{Backend, RecommendEngine, RecommendRequest};
@@ -310,16 +208,16 @@ fn rescore_budget(cfg: &QuantizedConfig, k: usize, shard_rows: u64) -> u64 {
 /// `M` is the model holder: `&TfModel` for the borrowed offline shape,
 /// `Arc<TfModel>` for owned snapshots published by [`crate::live`]. The
 /// item catalog is partitioned into contiguous, taxonomy-aligned
-/// catalog shards (see [`crate::recommend::shards`]); each shard's
-/// table is a [`CowMatrix`], so the successor engine after a catalog
-/// change ([`RecommendEngine::grown_from`]) shares every chunk and
-/// appends the new items' rows to the last shard instead of recopying
-/// any scan state.
+/// catalog shards (see [`crate::recommend::shards`]); each shard's int8
+/// shadow is a chunked [`QuantMatrix`], so the successor engine after a
+/// catalog change ([`RecommendEngine::grown_from`]) shares every chunk
+/// and appends the new items' codes to the last shard instead of
+/// recopying any scan state.
 #[derive(Debug)]
 pub struct RecommendEngine<M: Deref<Target = TfModel>> {
     scorer: Scorer<M>,
     /// Contiguous catalog shards in item-id order; shard `s` holds the
-    /// dense effective factors of items `[first_s, first_{s+1})`.
+    /// int8 shadow of items `[first_s, first_{s+1})`.
     shards: Vec<CatalogShard>,
     backend: Backend,
     /// The f32 dot-product kernel every scan dispatches through,
@@ -363,7 +261,7 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     }
 
     /// Engine over an explicit backend, unsharded (one catalog shard —
-    /// the scatter-gather merge degenerates to the identity).
+    /// the shard merge degenerates to the identity).
     pub fn with_backend(model: M, backend: Backend) -> RecommendEngine<M> {
         Self::with_backend_sharded(model, backend, 1)
     }
@@ -372,8 +270,7 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     /// contiguous, taxonomy-subtree-aligned shards (clamped to
     /// `[1, num_items]`; see [`CatalogPartition::plan`]). The served
     /// ranking is bit-for-bit identical at every shard count — sharding
-    /// only changes how the exhaustive scan is laid out and (via
-    /// [`recommend_scatter`](Self::recommend_scatter)) parallelised.
+    /// only changes which item ranges the scans visit one after another.
     pub fn with_backend_sharded(
         model: M,
         backend: Backend,
@@ -386,14 +283,12 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         let shards = partition
             .ranges()
             .iter()
-            .map(|range| {
-                let rows =
-                    || (range.start..range.end).map(|i| scorer.item_factor(ItemId(i as u32)));
-                CatalogShard {
-                    first: range.start,
-                    items: CowMatrix::from_rows(k, rows()),
-                    quant: QuantMatrix::from_rows(k, rows()),
-                }
+            .map(|range| CatalogShard {
+                first: range.start,
+                quant: QuantMatrix::from_rows(
+                    k,
+                    (range.start..range.end).map(|i| scorer.item_factor(ItemId(i as u32))),
+                ),
             })
             .collect();
         RecommendEngine {
@@ -407,18 +302,16 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     }
 
     /// Build the successor engine for a model that extends `prev`'s
-    /// catalog (same contract as [`Scorer::grown_from`]): the per-shard
-    /// item tables and effective-factor tables are cloned from `prev`
-    /// (one refcount bump per chunk) and only rows for the appended
-    /// items/nodes are computed and pushed — publish cost is
+    /// catalog (same contract as [`Scorer::grown_from`]): the
+    /// effective-factor tables and the per-shard int8 shadows are cloned
+    /// from `prev` (one refcount bump per chunk) and only rows for the
+    /// appended items/nodes are computed and pushed — publish cost is
     /// `O(change)`, not `O(catalog)`: an append copies at most the one
-    /// 256-row chunk it lands in.
+    /// 256-row chunk it lands in, per table.
     ///
     /// Appended item ids extend the id space past the last shard's
     /// range, so a live `AddItem` routes to the **last shard's tail**;
-    /// every other shard is shared with `prev` by pointer. Every chunk
-    /// but the tail stays full, so however long the update stream, the
-    /// blocked scan still reads whole 256-row blocks.
+    /// every other shard is shared with `prev` by pointer.
     pub fn grown_from<P: Deref<Target = TfModel>>(
         prev: &RecommendEngine<P>,
         model: M,
@@ -430,11 +323,9 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         debug_assert!(!shards.is_empty(), "partition always yields a shard");
         let tail = shards.last_mut().expect("at least one shard");
         for i in prev_items..scorer.model().num_items() {
-            let row = scorer.item_factor(ItemId(i as u32));
-            tail.items.push_row(row);
             // Re-quantizes only the touched tail chunk — every other
             // quant chunk stays shared with `prev` by pointer.
-            tail.quant.push_row(row);
+            tail.quant.push_row(scorer.item_factor(ItemId(i as u32)));
         }
         RecommendEngine {
             scorer,
@@ -490,11 +381,11 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         }
     }
 
-    /// Rows in the dense scan matrices (always `model().num_items()`;
-    /// the live subsystem's consistency checks assert the two never
-    /// diverge across an epoch swap).
+    /// Items the shards cover (always `model().num_items()`; the live
+    /// subsystem's consistency checks assert the two never diverge
+    /// across an epoch swap).
     pub fn catalog_len(&self) -> usize {
-        self.shards.iter().map(|s| s.items.rows()).sum()
+        self.shards.iter().map(|s| s.quant.rows()).sum()
     }
 
     /// Number of catalog scan shards this engine partitions the item
@@ -509,29 +400,20 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     pub fn shard_ranges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.shards
             .iter()
-            .map(|s| (s.first, s.first + s.items.rows()))
+            .map(|s| (s.first, s.first + s.quant.rows()))
     }
 
     /// `(chunks, bytes)` of the derived f32 tables that are *not*
     /// shared by pointer with `prev`'s: the scorer's two
-    /// effective-factor tables ([`Scorer::copied_since`]), then the
-    /// item tables summed over shards. For a successor built by
+    /// effective-factor tables ([`Scorer::copied_since`]), the only f32
+    /// tables the engine holds. For a successor built by
     /// [`grown_from`](Self::grown_from) this is what the publish copied
     /// or appended — at most one chunk per touched table.
-    pub fn copied_since<N>(&self, prev: &RecommendEngine<N>) -> [(u64, u64); 3]
+    pub fn copied_since<N>(&self, prev: &RecommendEngine<N>) -> [(u64, u64); 2]
     where
         N: std::ops::Deref<Target = TfModel>,
     {
-        let [nodes, next] = self.scorer.copied_since(&prev.scorer);
-        let scan = self
-            .shards
-            .iter()
-            .zip(&prev.shards)
-            .fold((0, 0), |(s, b), (a, p)| {
-                let (ds, db) = a.items.copied_since(&p.items);
-                (s + ds, b + db)
-            });
-        [nodes, next, scan]
+        self.scorer.copied_since(&prev.scorer)
     }
 
     /// `(shared, copied)` int8 shadow-matrix chunks relative to
@@ -552,7 +434,7 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
             })
     }
 
-    /// The int8 shadow of shard `si`'s dense item matrix (tests and
+    /// The int8 shadow of shard `si`'s item rows (tests and
     /// consistency checks; the serving path reads it internally).
     ///
     /// # Panics
@@ -561,18 +443,13 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         &self.shards[si].quant
     }
 
-    /// The dense effective factor row the exhaustive scan uses for
-    /// `item`. Exposed so consistency checks can verify it against
-    /// [`Scorer::item_factor`] on a live snapshot.
+    /// The effective factor row both scans read for `item`: the
+    /// scorer's own row ([`Scorer::item_factor`]), not a copy.
     ///
     /// # Panics
     /// If `item` is outside the catalog.
     pub fn dense_item_factor(&self, item: ItemId) -> &[f32] {
-        let idx = item.index();
-        // Shards are sorted by `first` and contiguous, so the owner is
-        // the last shard starting at or before the id.
-        let si = self.shards.partition_point(|s| s.first <= idx) - 1;
-        self.shards[si].items.row(idx - self.shards[si].first)
+        self.scorer.item_factor(item)
     }
 
     /// Serve one request. Equivalent to a 1-element
@@ -679,96 +556,6 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         (scan + 4 * markov) as u64
     }
 
-    /// Scatter-gather serving of one request: the per-shard blocked
-    /// scans run in parallel on up to `threads` scoped workers (the
-    /// same idiom as [`recommend_batch`](Self::recommend_batch), but
-    /// across the *catalog* instead of across users), and the per-shard
-    /// winners are merged deterministically by
-    /// [`shards::merge_topk`]. Bit-for-bit identical to
-    /// [`recommend`](Self::recommend) at any shard/thread count; with
-    /// one shard or one thread it degenerates to the sequential path.
-    ///
-    /// The cascaded backend beams through the taxonomy rather than
-    /// scanning the catalog, so it is served sequentially regardless;
-    /// the quantized backend also takes the sequential path (its
-    /// per-shard pools are cheap enough that scattering them has not
-    /// paid for the thread fan-out) — results are identical either way.
-    pub fn recommend_scatter(
-        &self,
-        req: &RecommendRequest<'_>,
-        threads: usize,
-    ) -> Vec<(ItemId, f32)>
-    where
-        M: Sync,
-    {
-        self.recommend_scatter_with(req, threads, &self.backend)
-    }
-
-    /// [`recommend_scatter`](Self::recommend_scatter) through an
-    /// explicit backend, overriding the engine default for this request.
-    pub fn recommend_scatter_with(
-        &self,
-        req: &RecommendRequest<'_>,
-        threads: usize,
-        backend: &Backend,
-    ) -> Vec<(ItemId, f32)>
-    where
-        M: Sync,
-    {
-        let workers = threads.max(1).min(self.shards.len());
-        if workers <= 1 || !matches!(backend, Backend::Exhaustive) {
-            return self.recommend_with(req, backend);
-        }
-        debug_assert!(
-            req.exclude.windows(2).all(|w| w[0] <= w[1]),
-            "exclude list must be sorted"
-        );
-        let mut query = vec![0.0f32; self.model().k()];
-        self.scorer.query_into(req.user, req.history, &mut query);
-        let k = req.k.min(self.catalog_len());
-        // Cost-balance shard groups by row count, one scoped worker per
-        // group. `shards::pack` emits exactly `workers` non-empty
-        // groups — a heavy tail shard (where live AddItems accumulate)
-        // can skew one group, never collapse the parallelism.
-        let costs: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.items.rows().max(1) as u64)
-            .collect();
-        let groups = shards::pack(&costs, workers);
-        let mut partials: Vec<Vec<(ItemId, f32)>> = Vec::with_capacity(self.shards.len());
-        partials.resize_with(self.shards.len(), Vec::new);
-        let exclude = req.exclude;
-        let kernel = self.kernel;
-        std::thread::scope(|scope| {
-            let query = &query;
-            let mut rest: &mut [Vec<(ItemId, f32)>] = &mut partials;
-            let mut consumed = 0usize;
-            for (start, end) in groups {
-                let (mine, tail) = rest.split_at_mut(end - consumed);
-                rest = tail;
-                consumed = end;
-                let span = &self.shards[start..end];
-                scope.spawn(move || {
-                    let mut topk = TopK::new();
-                    let mut block = vec![0.0f32; SCORE_BLOCK];
-                    for (off, (shard, out)) in span.iter().zip(mine.iter_mut()).enumerate() {
-                        let t0 = self.scan_metrics.as_ref().map(|_| Instant::now());
-                        let (rows, blocks) =
-                            scan_shard(shard, kernel, query, exclude, k, &mut topk, &mut block);
-                        if let (Some(sm), Some(t0)) = (self.scan_metrics.as_ref(), t0) {
-                            sm.record(start + off, rows, blocks, t0.elapsed());
-                        }
-                        topk.drain_sorted_into(out);
-                    }
-                });
-            }
-        });
-        let mut out = Vec::new();
-        shards::merge_topk(&mut partials, k, &mut out);
-        out
-    }
-
     /// [`recommend_with`](Self::recommend_with) recording one span per
     /// pipeline stage into `trace`: `query`, then one `scan[i]` per
     /// catalog shard and `merge` (exhaustive and quantized backends) or
@@ -837,8 +624,126 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         }
     }
 
+    /// Blocked top-K scan of one shard: per block of [`SCORE_BLOCK`]
+    /// item ids (counted from the shard's first id), one kernel dot per
+    /// row read from the scorer's effective-factor table, then a
+    /// thresholded sweep into the (reset) reusable heap. Identical
+    /// kernel to the unsharded scan — only the item-id range differs.
+    /// Returns `(rows scanned, blocks scored)` for the per-shard scan
+    /// counters.
+    fn scan_shard(
+        &self,
+        shard: &CatalogShard,
+        query: &[f32],
+        exclude: &[ItemId],
+        k: usize,
+        topk: &mut TopK,
+        block: &mut [f32],
+    ) -> (u64, u64) {
+        topk.reset(k);
+        let nodes = &self.model().taxonomy().item_nodes()[shard.items()];
+        for (bi, block_nodes) in nodes.chunks(SCORE_BLOCK).enumerate() {
+            let first = shard.first + bi * SCORE_BLOCK;
+            let scores = &mut block[..block_nodes.len()];
+            for (s, &node) in scores.iter_mut().zip(block_nodes) {
+                let row = self.scorer.node_factor(NodeId(node));
+                *s = self.kernel.dot(query, row);
+            }
+            let threshold = topk.threshold();
+            for (off, &s) in scores.iter().enumerate() {
+                // Fast reject: full heaps only admit strictly better
+                // scores, and the threshold only rises within a block.
+                if s <= threshold && topk.len() >= k {
+                    continue;
+                }
+                let item = ItemId((first + off) as u32);
+                if exclude.binary_search(&item).is_ok() {
+                    continue;
+                }
+                topk.offer(item, s);
+            }
+        }
+        (nodes.len() as u64, nodes.len().div_ceil(SCORE_BLOCK) as u64)
+    }
+
+    /// Quantized branch-and-bound scan of one shard.
+    ///
+    /// Per chunk: exact int8 block dots ([`F32Kernel::dot_i8_block`]),
+    /// the vectorized affine combine ([`QuantQuery::approx_block`]), then
+    /// a pruned exact pass — a row is rescored with the exact f32 dot
+    /// of the scorer's row only when its approximate score plus the
+    /// rigorous error bound ([`QuantQuery::error_bound`]) still reaches
+    /// the evolving k-th exact score. Every row whose true score could
+    /// belong to (or tie into) the top-K is therefore rescored —
+    /// skipping on a tie would lose the id tie-break — so the result is
+    /// exactly the exhaustive ranking under every kernel dispatch: the
+    /// integer dots and the pure-f32 combine are dispatch-invariant, and
+    /// the exact rescore is the exhaustive scan's own dot of the same
+    /// row.
+    ///
+    /// Returns `(rows scanned, rows rescored in f32)`; the caller holds
+    /// the rescore count against [`rescore_budget`].
+    #[allow(clippy::too_many_arguments)]
+    fn scan_shard_quantized(
+        &self,
+        shard: &CatalogShard,
+        qq: &QuantQuery,
+        query: &[f32],
+        exclude: &[ItemId],
+        k: usize,
+        dots: &mut Vec<i32>,
+        approx: &mut Vec<f32>,
+        topk: &mut TopK,
+    ) -> (u64, u64) {
+        // Rigorous slack for this (query, table) pair: every row's exact
+        // f32 score is within `eps` of its approximate score.
+        let eps = qq.error_bound(shard.quant.max_scale(), shard.quant.max_abs_sum());
+        topk.reset(k);
+        // Rows with approximation strictly below `threshold − eps` cannot
+        // reach the k-th exact score and are skipped without touching the
+        // f32 table. −∞ until the heap fills (every row competes); +∞ for
+        // k = 0 (nothing does).
+        let mut cutoff = if k == 0 {
+            f64::INFINITY
+        } else {
+            f64::NEG_INFINITY
+        };
+        let mut rescored = 0u64;
+        dots.clear();
+        dots.resize(COW_CHUNK_ROWS, 0);
+        approx.clear();
+        approx.resize(COW_CHUNK_ROWS, 0.0);
+        let nodes = &self.model().taxonomy().item_nodes()[shard.items()];
+        let mut base = 0usize;
+        for chunk in shard.quant.chunks() {
+            let n = chunk.rows();
+            let dots = &mut dots[..n];
+            let approx = &mut approx[..n];
+            self.kernel
+                .dot_i8_block(qq.codes(), chunk.flat_codes(), dots);
+            qq.approx_block(dots, chunk.mins(), chunk.scales(), approx);
+            for (r, &s) in approx.iter().enumerate() {
+                if (s as f64) < cutoff {
+                    continue;
+                }
+                let item = ItemId((shard.first + base + r) as u32);
+                if exclude.binary_search(&item).is_ok() {
+                    continue;
+                }
+                let row = self.scorer.node_factor(NodeId(nodes[base + r]));
+                topk.offer(item, self.kernel.dot(query, row));
+                rescored += 1;
+                if topk.len() == k {
+                    cutoff = topk.threshold() as f64 - eps;
+                }
+            }
+            base += n;
+        }
+        (shard.quant.rows() as u64, rescored)
+    }
+
     /// Sequential exhaustive serving: one blocked top-K scan per shard,
-    /// then the deterministic scatter-gather merge. With one shard this
+    /// then the deterministic shard merge. With one shard this
     /// is exactly the classic single-heap scan.
     fn exhaustive_into(
         &self,
@@ -855,9 +760,8 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         for (si, shard) in self.shards.iter().enumerate() {
             let t_metric = self.scan_metrics.as_ref().map(|_| Instant::now());
             let t_span = trace.as_ref().map(|t| t.clock());
-            let (rows, blocks) = scan_shard(
+            let (rows, blocks) = self.scan_shard(
                 shard,
-                self.kernel,
                 &scratch.query,
                 req.exclude,
                 k,
@@ -882,7 +786,7 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     /// Quantized serving: per-shard int8 branch-and-bound scan with
     /// exact f32 rescoring of every row still competing within the
     /// rigorous error bound — so the served ranking is **always**
-    /// exactly the exhaustive one, and the scatter-gather merge and
+    /// exactly the exhaustive one, and the shard merge and
     /// sharded ≡ unsharded law apply unchanged.
     fn quantized_into(
         &self,
@@ -898,9 +802,8 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         for (si, shard) in self.shards.iter().enumerate() {
             let t_metric = self.scan_metrics.as_ref().map(|_| Instant::now());
             let t_span = trace.as_ref().map(|t| t.clock());
-            let (rows, rescored) = scan_shard_quantized(
+            let (rows, rescored) = self.scan_shard_quantized(
                 shard,
-                self.kernel,
                 &qq,
                 &scratch.query,
                 req.exclude,
@@ -1158,14 +1061,6 @@ mod tests {
                         "S={s} user={user} k={k}: score bits"
                     );
                 }
-                // Scatter-gather across shard workers is the same again.
-                for threads in [2usize, 3, 8] {
-                    assert_eq!(
-                        sharded.recommend_scatter(&req, threads),
-                        want,
-                        "S={s} threads={threads}"
-                    );
-                }
             }
         }
     }
@@ -1182,29 +1077,52 @@ mod tests {
                 next = end;
             }
             assert_eq!(next, m.num_items(), "S={s}: items dropped");
-            // Every item's dense row resolves through the right shard.
-            for i in [0usize, 1, 150, m.num_items() - 1] {
-                let item = ItemId(i as u32);
-                assert_eq!(
-                    engine.dense_item_factor(item),
-                    engine.scorer().item_factor(item),
-                    "S={s} item {i}"
-                );
-            }
         }
     }
 
+    /// The scans read the scorer's effective-factor table itself: every
+    /// item's scan row is the scorer's row by address, on a trained
+    /// model and after live adds under a deepest category, a level-1
+    /// category and the root, across a chunk boundary and at several
+    /// shard counts.
     #[test]
-    fn scatter_on_cascaded_backend_falls_back_to_sequential() {
-        let m = model(0);
-        let depth = m.taxonomy().depth();
-        let engine = RecommendEngine::with_backend_sharded(
-            &m,
-            Backend::Cascaded(CascadeConfig::uniform(depth, 0.4)),
-            4,
-        );
-        let req = RecommendRequest::simple(3, 8);
-        assert_eq!(engine.recommend_scatter(&req, 4), engine.recommend(&req));
+    fn scan_rows_are_the_scorers_rows() {
+        use taxrec_dataset::{DatasetConfig, SyntheticDataset};
+        let d = SyntheticDataset::generate(&DatasetConfig::tiny().with_users(40), 5);
+        let trained = crate::train::TfTrainer::new(
+            ModelConfig::tf(4, 1).with_factors(8).with_epochs(1),
+            &d.taxonomy,
+        )
+        .fit(&d.train, 2);
+        let same_rows = |engine: &RecommendEngine<Arc<TfModel>>, at: &str| {
+            assert_eq!(engine.catalog_len(), engine.model().num_items(), "{at}");
+            for i in 0..engine.model().num_items() {
+                let item = ItemId(i as u32);
+                assert_eq!(
+                    engine.dense_item_factor(item).as_ptr(),
+                    engine.scorer().item_factor(item).as_ptr(),
+                    "{at}: item {i}"
+                );
+            }
+        };
+        for s in [1usize, 3] {
+            let mut m = trained.clone();
+            let mut engine =
+                RecommendEngine::with_backend_sharded(Arc::new(m.clone()), Backend::Exhaustive, s);
+            same_rows(&engine, &format!("S={s} trained"));
+            let t = m.taxonomy();
+            let parents = [
+                t.parent(t.item_node(ItemId(0))).unwrap(),
+                NodeId(t.nodes_at_level(1)[0]),
+                NodeId::ROOT,
+            ];
+            for step in 0..COW_CHUNK_ROWS + 8 {
+                m.add_item_mut(parents[step % parents.len()]).unwrap();
+                engine =
+                    RecommendEngine::grown_from(&engine, Arc::new(m.clone()), Backend::Exhaustive);
+            }
+            same_rows(&engine, &format!("S={s} grown"));
+        }
     }
 
     #[test]

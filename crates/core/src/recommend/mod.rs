@@ -8,7 +8,7 @@
 //!                    ┌───────────────────────────────┐
 //!  TfModel ────────► │ RecommendEngine               │
 //!   (trained)        │  · Scorer (effective factors) │
-//!                    │  · dense item-factor matrix   │
+//!                    │  · int8 shadow per shard      │
 //!                    └──────────────┬────────────────┘
 //!  requests ─► batch::plan ─► shard │ shard │ shard    (worker threads)
 //!                                   ▼       ▼
@@ -40,13 +40,13 @@
 //! Orthogonally to user batching, the **catalog** itself is partitioned
 //! into contiguous, taxonomy-subtree-aligned scan shards
 //! ([`shards::CatalogPartition`]; opt in via
-//! [`RecommendEngine::with_backend_sharded`]). Every request is served
-//! as per-shard blocked top-K scans — sequentially inside a batch
-//! worker, or scattered across scoped threads by
-//! [`RecommendEngine::recommend_scatter`] — whose winners are folded by
-//! a deterministic merge ([`shards::merge_topk`], tie-break: score
-//! descending then item id ascending). A fourth pinned property joins
-//! the three above:
+//! [`RecommendEngine::with_backend_sharded`]). A shard is an item-id
+//! range of the scorer's effective-factor table — the only f32 copy of
+//! an item row — plus an int8 shadow of those rows. Every request is
+//! served as per-shard blocked top-K scans, one after another inside
+//! its batch worker, whose winners are folded by a deterministic merge
+//! ([`shards::merge_topk`], tie-break: score descending then item id
+//! ascending). A fourth pinned property joins the three above:
 //!
 //! * **sharded ≡ unsharded** — for any shard count, backend, exclusion
 //!   set and `k`, the served scores, ids, and order are bit-for-bit

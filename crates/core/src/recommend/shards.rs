@@ -1,5 +1,5 @@
 //! Catalog partitioning for sharded exhaustive scans, plus the
-//! deterministic scatter-gather merge.
+//! deterministic merge of the per-shard winners.
 //!
 //! At catalog scale the exhaustive scan itself must be partitioned —
 //! the same way analytical engines split a table scan across workers.
@@ -154,9 +154,8 @@ impl CatalogPartition {
 /// near-equal total weight. Every unit lands in exactly one span and
 /// every span is non-empty — unlike the greedy batch planner, a heavy
 /// unit at the end can never collapse the packing to fewer groups
-/// (each group reserves one unit per group still to come). Shared by
-/// the aligned partitioner (units = subtree runs) and the scatter
-/// executor (units = shards spread over workers).
+/// (each group reserves one unit per group still to come). The aligned
+/// partitioner packs subtree runs with it.
 pub fn pack(counts: &[u64], groups: usize) -> Vec<(usize, usize)> {
     let groups = groups.max(1).min(counts.len());
     if counts.is_empty() {
@@ -190,7 +189,7 @@ pub fn pack(counts: &[u64], groups: usize) -> Vec<(usize, usize)> {
     spans
 }
 
-/// Deterministic scatter-gather merge: fold per-shard top-K lists (each
+/// Deterministic shard merge: fold per-shard top-K lists (each
 /// already sorted best-first) into the global top-`k`, draining the
 /// partial vectors.
 ///

@@ -7,17 +7,16 @@
 //! its worst entry (minimum score; largest item id among equal scores)
 //! whenever a strictly better candidate arrives — better score, or an
 //! equal score with a smaller id. That total order is what makes the
-//! per-shard scatter-gather merge ([`crate::recommend::shards`])
-//! bit-for-bit identical to a single catalog-wide heap even when tied
-//! scores straddle a shard boundary; [`Scorer::top_k_items`] follows
-//! the same rule.
+//! per-shard merge ([`crate::recommend::shards`]) bit-for-bit identical
+//! to a single catalog-wide heap even when tied scores straddle a shard
+//! boundary; [`Scorer::top_k_items`] follows the same rule.
 //!
-//! [`score_block_into`] is the inner loop of exhaustive inference: one
-//! query against a contiguous block of item-factor rows, written to a
-//! dense score buffer. Keeping the dot products in a branch-free loop
-//! over adjacent rows (instead of interleaving them with heap pushes)
-//! is what lets the compiler vectorise the scan; the heap then consumes
-//! the block with a cheap `> threshold` pre-filter.
+//! [`score_block_into`] scores one query against a contiguous block of
+//! rows into a dense score buffer, one [`ops::dot`] per row. The
+//! exhaustive scan keeps that shape — a [`SCORE_BLOCK`] of dot products
+//! (one per item row, read from the scorer's table) before any heap
+//! push — and the heap then consumes the block with a cheap
+//! `> threshold` pre-filter.
 //!
 //! [`Scorer::top_k_items`]: crate::scoring::Scorer::top_k_items
 
@@ -27,8 +26,9 @@ use taxrec_taxonomy::ItemId;
 
 /// THE ranking order of this crate: score descending, item id ascending
 /// on equal scores (`Ordering::Less` = ranks earlier). Every selection
-/// and merge path — [`TopK`], [`Scorer::top_k_items`], the scatter-
-/// gather merge in [`crate::recommend::shards`] — must use this one
+/// and merge path — [`TopK`],
+/// [`Scorer::top_k_items`](crate::scoring::Scorer::top_k_items), the
+/// shard merge in [`crate::recommend::shards`] — must use this one
 /// function (or [`ranks_before`]); the sharded ≡ unsharded law holds
 /// only while they agree bit for bit.
 #[inline]
@@ -208,11 +208,10 @@ impl TopK {
 /// inside L1/L2 alongside the query and score buffer.
 pub const SCORE_BLOCK: usize = 256;
 
-/// Score a contiguous block of item rows against one query.
+/// Score a contiguous block of rows against one query.
 ///
-/// `rows` is the row-major slice covering items `[first, first + n)` of
-/// the engine's item-factor matrix; `out[i]` receives the score of item
-/// `first + i`.
+/// `rows` is a row-major slice of `n` rows of `query.len()` factors;
+/// `out[i]` receives the score of row `i`.
 ///
 /// # Panics
 /// If `rows.len() != out.len() * query.len()` (debug builds).

@@ -239,7 +239,7 @@ impl<M: Deref<Target = TfModel>> Scorer<M> {
     /// (typically the user's already-purchased items). Selection and
     /// output follow [`crate::recommend::rank_cmp`] — the one (score
     /// descending, item id ascending) total order shared with the
-    /// recommend engine's heap and its scatter-gather merge.
+    /// recommend engine's heap and its shard merge.
     pub fn top_k_items(&self, query: &[f32], k: usize, exclude: &[ItemId]) -> Vec<(ItemId, f32)> {
         use crate::recommend::{rank_cmp, ranks_before};
         let tax = self.model.taxonomy();
@@ -336,22 +336,32 @@ mod tests {
         TfModel::init(cfg, tax(), 10, 3)
     }
 
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Queries and scores built from the test-only dense forward pass —
+    /// an independent implementation of Eq. 1 — match the scorer's bit
+    /// for bit.
     #[test]
     fn scorer_matches_model_scoring() {
-        let m = model(1);
+        let m = model(2);
         let s = Scorer::new(&m);
-        let hist = vec![vec![ItemId(1), ItemId(7)]];
-        let q_model = {
-            let mut q = vec![0.0f32; m.k()];
-            m.query_into(4, &hist, &mut q);
-            q
-        };
-        let q_scorer = s.query(4, &hist);
-        for (a, b) in q_model.iter().zip(&q_scorer) {
-            assert!((a - b).abs() < 1e-5);
+        let eff = m.effective_all_nodes_dense(&m.node_factors);
+        let eff_next = m.effective_all_nodes_dense(&m.next_factors);
+        let tax = m.taxonomy();
+        let hist = vec![vec![ItemId(3)], vec![ItemId(1), ItemId(7)]];
+        let mut q = m.user_factor(4).to_vec();
+        for (n, basket) in hist.iter().rev().enumerate() {
+            let w = m.config().markov_weight(n + 1) / basket.len() as f32;
+            for &l in basket {
+                ops::axpy(w, eff_next.row(tax.item_node(l).index()), &mut q);
+            }
         }
+        assert_eq!(bits(&s.query(4, &hist)), bits(&q));
         for item in [ItemId(0), ItemId(33), ItemId(79)] {
-            assert!((m.score_item(&q_model, item) - s.score_item(&q_scorer, item)).abs() < 1e-4);
+            let want = ops::dot(&q, eff.row(tax.item_node(item).index()));
+            assert_eq!(s.score_item(&q, item).to_bits(), want.to_bits(), "{item}");
         }
     }
 

@@ -6,8 +6,8 @@
 //! The matrix reuses the shape of `differential_shards.rs`: a trained
 //! model evolved through the real live machinery (fold-ins and item
 //! adds via [`LiveEngine::next_from`], which re-quantizes only touched
-//! chunks), probed after every event across shard counts, the scatter
-//! path, and the batch path. The scalar unsharded chain is the oracle.
+//! chunks), probed after every event across shard counts and the batch
+//! path. The scalar unsharded chain is the oracle.
 //!
 //! The quantized comparisons additionally assert the pool-budget
 //! counters: the bit-equality is an invariant of the branch-and-bound
@@ -83,7 +83,7 @@ impl Chain {
     }
 
     /// Serve the fixed probe mix through this chain's own backend:
-    /// per-request, scatter, and batch paths.
+    /// per-request and batch paths.
     fn probe(&self) -> Vec<Vec<(ItemId, f32)>> {
         let engine = self.engine.engine();
         let model = engine.model();
@@ -111,7 +111,6 @@ impl Chain {
                 exclude: excl,
             };
             out.push(engine.recommend_with(&req, &self.backend));
-            out.push(engine.recommend_scatter_with(&req, 3, &self.backend));
         }
         let requests: Vec<RecommendRequest<'_>> = (0..n_users.min(12))
             .map(|u| RecommendRequest::simple(u, 8))

@@ -74,8 +74,8 @@ fn assert_same(label: &str, want: &[(ItemId, f32)], got: &[(ItemId, f32)]) {
 
 /// The probe: serve a fixed mix of requests through `engine` and return
 /// every response. Covers empty histories, Markov histories, sorted
-/// exclusion sets, tiny and over-catalog `k`, both backends, the batch
-/// path, and the scatter-gather path.
+/// exclusion sets, tiny and over-catalog `k`, both backends, and the
+/// batch path.
 fn probe(
     engine: &RecommendEngine<std::sync::Arc<taxrec_core::TfModel>>,
 ) -> Vec<Vec<(ItemId, f32)>> {
@@ -111,7 +111,6 @@ fn probe(
                 exclude: excl,
             };
             out.push(engine.recommend_with(&req, backend));
-            out.push(engine.recommend_scatter_with(&req, 3, backend));
         }
     }
     // Batch path across several users at both thread counts.

@@ -274,7 +274,7 @@ fn derived_tables_copy_at_most_one_chunk_per_publish() {
             );
         }
         assert!(
-            next.copied_bytes_since(&engine) <= 5 * chunk_bytes,
+            next.copied_bytes_since(&engine) <= 4 * chunk_bytes,
             "add {i}"
         );
         engine = next;
@@ -289,7 +289,7 @@ fn derived_tables_copy_at_most_one_chunk_per_publish() {
         .unwrap();
     let after_add = LiveEngine::next_from(&engine, &state);
     assert!(after_add.model().chunk_sharing_with(engine.model()).1 <= 2);
-    assert!(after_add.copied_bytes_since(&engine) <= 5 * chunk_bytes);
+    assert!(after_add.copied_bytes_since(&engine) <= 4 * chunk_bytes);
     assert!(after_add.copied_bytes_since(&engine) > 0);
 
     // A fold-in touches no derived table at all: the only copied bytes
@@ -304,7 +304,7 @@ fn derived_tables_copy_at_most_one_chunk_per_publish() {
     let after_fold = LiveEngine::next_from(&after_add, &state);
     assert_eq!(
         after_fold.engine().copied_since(after_add.engine()),
-        [(0, 0); 3]
+        [(0, 0); 2]
     );
     assert_eq!(
         after_fold.model().chunk_sharing_with(after_add.model()).1,

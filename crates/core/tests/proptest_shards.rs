@@ -152,7 +152,6 @@ proptest! {
         user_pick in any::<proptest::sample::Index>(),
         s in 1usize..=8,
         k in 0usize..50,
-        threads in 1usize..5,
         history_raw in proptest::collection::vec(
             proptest::collection::vec(any::<u32>(), 1..4), 0..3),
         exclude_raw in proptest::collection::vec(any::<u32>(), 0..14),
@@ -172,15 +171,14 @@ proptest! {
         let oracle = RecommendEngine::new(m);
         let sharded = RecommendEngine::with_backend_sharded(m, Backend::Exhaustive, s);
         let want = oracle.recommend(&req);
-        for got in [sharded.recommend(&req), sharded.recommend_scatter(&req, threads)] {
-            prop_assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.0, w.0, "id order diverged (S={}, k={})", s, k);
-                prop_assert_eq!(
-                    g.1.to_bits(), w.1.to_bits(),
-                    "score bits diverged (S={}, k={})", s, k
-                );
-            }
+        let got = sharded.recommend(&req);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.0, w.0, "id order diverged (S={}, k={})", s, k);
+            prop_assert_eq!(
+                g.1.to_bits(), w.1.to_bits(),
+                "score bits diverged (S={}, k={})", s, k
+            );
         }
     }
 
@@ -189,7 +187,6 @@ proptest! {
         user_pick in any::<proptest::sample::Index>(),
         s in 2usize..=8,
         k in 1usize..60,
-        threads in 1usize..4,
     ) {
         // Tied scores straddling shard boundaries are where a sloppy
         // merge reorders silently; the tie-break (id ascending) must
@@ -201,7 +198,6 @@ proptest! {
         let sharded = RecommendEngine::with_backend_sharded(m, Backend::Exhaustive, s);
         let want = oracle.recommend(&req);
         prop_assert_eq!(&sharded.recommend(&req), &want);
-        prop_assert_eq!(&sharded.recommend_scatter(&req, threads), &want);
         // The ranking itself obeys the documented total order.
         for w in want.windows(2) {
             prop_assert!(

@@ -96,22 +96,6 @@ impl CowMatrix {
         }
     }
 
-    /// Append every row of an iterator of `&[f32]` rows, in order, to an
-    /// empty matrix of width `k`.
-    ///
-    /// # Panics
-    /// If `k == 0` or a row is not `k` wide.
-    pub fn from_rows<'a, I>(k: usize, rows: I) -> CowMatrix
-    where
-        I: IntoIterator<Item = &'a [f32]>,
-    {
-        let mut m = CowMatrix::zeros(0, k);
-        for row in rows {
-            m.push_row(row);
-        }
-        m
-    }
-
     /// Materialise one contiguous owned copy (training, tests).
     pub fn to_dense(&self) -> FactorMatrix {
         let mut m = FactorMatrix::zeros(self.rows, self.k);
@@ -357,8 +341,8 @@ mod tests {
 
     #[test]
     fn chunk_layout_is_determined_by_row_count() {
-        // Built by split, by append, from an iterator and from chunks
-        // filled in place: identical layout and values.
+        // Built by split, by append and from chunks filled in place:
+        // identical layout and values.
         for rows in [
             0,
             1,
@@ -372,7 +356,6 @@ mod tests {
             for r in 0..rows {
                 pushed.push_row(dense.row(r));
             }
-            let from_rows = CowMatrix::from_rows(2, (0..rows).map(|r| dense.row(r)));
             let mut chunks: Vec<FactorMatrix> = Vec::new();
             for r in 0..rows {
                 if r % COW_CHUNK_ROWS == 0 {
@@ -381,7 +364,7 @@ mod tests {
                 chunks.last_mut().unwrap().push_row(dense.row(r));
             }
             let from_chunks = CowMatrix::from_chunks(2, chunks);
-            for built in [&pushed, &from_rows, &from_chunks] {
+            for built in [&pushed, &from_chunks] {
                 assert_eq!(&split, built, "{rows} rows");
                 assert_eq!(split.rows(), built.rows());
                 assert_eq!(split.num_chunks(), built.num_chunks());

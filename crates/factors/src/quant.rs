@@ -1,6 +1,6 @@
 //! Chunked int8-quantized factor storage for first-pass scans.
 //!
-//! [`QuantMatrix`] is the int8 shadow of a dense item-factor table:
+//! [`QuantMatrix`] is the int8 shadow of a table of item factors:
 //! each row is affinely quantized on its own — per-row `min` and
 //! `scale`, 256 levels — and the codes are stored in the same
 //! fixed-size `Arc`-shared chunk layout as [`crate::CowMatrix`]
