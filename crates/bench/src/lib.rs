@@ -14,7 +14,6 @@
 //! | `fig8_parallel`     | Fig. 8(a,b) multi-core speed-up          |
 //! | `fig8_cascade`      | Fig. 8(c,d) cascaded inference trade-off |
 //! | `fig8_batch`        | batched serving throughput, exhaustive vs cascaded (beyond the paper) |
-//! | `fig7c_live`        | read throughput under live catalog/user churn (beyond the paper; `--smoke` guards CI) |
 //! | `ablations`         | non-figure design studies (init, sibling levels, cache threshold, negatives) |
 //! | `smoke`             | quick end-to-end sanity run              |
 //!

@@ -32,7 +32,6 @@ mod commands;
 pub mod evalset;
 pub mod http;
 pub mod json;
-mod loadgen;
 pub mod serve;
 mod store;
 mod users;
@@ -55,7 +54,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "inspect" => commands::inspect(&args),
         "replay" => commands::replay(&args),
         "serve" => serve::serve(&args),
-        "loadgen" => loadgen::loadgen(&args),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(CliError::Usage(format!("unknown command '{other}'"))),
     }
@@ -90,9 +88,6 @@ USAGE:
                    [--live-log FILE] [--snapshot FILE] [--snapshot-every N]
                    [--replicate-on HOST:PORT | --follow HOST:PORT]
                    [--user-tier-budget ROWS]
-  taxrec loadgen   [--out BENCH_tiering.json] [--smoke] [--users N]
-                   [--setup-folds N] [--requests N] [--rate RPS]
-                   [--skew S] [--seed S] [--clients C]
 
 LIST is comma ids and/or inclusive ranges: 0,3,9 or 0-63 or 0-7,32-39.
 "

@@ -1382,9 +1382,29 @@ mod tests {
         assert!(buf.starts_with("HTTP/1.1 503"), "{buf}");
         assert!(buf.contains("Retry-After: 1"), "{buf}");
         assert!(buf.contains("server busy"), "{buf}");
-        // Unpin everything and shut down.
+        // Unpin everything: the overload must not wedge the server, so
+        // a plain health check answers 200 once the queue drains (a 503
+        // while the dropped connections are still queued is a retry).
         drop(pin);
         drop(held);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            let mut c = TcpStream::connect(addr).unwrap();
+            c.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .unwrap();
+            c.write_all(b"GET /health HTTP/1.1\r\n\r\n").unwrap();
+            let mut buf = String::new();
+            let _ = c.read_to_string(&mut buf);
+            if buf.starts_with("HTTP/1.1 200") {
+                break;
+            }
+            assert!(buf.starts_with("HTTP/1.1 503"), "{buf}");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "server unresponsive after the overload drained"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
         stop.store(true, Ordering::Relaxed);
         let _ = TcpStream::connect(addr);
         server_thread.join().unwrap();

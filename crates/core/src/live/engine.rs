@@ -176,7 +176,7 @@ impl LiveEngine {
 
     /// Cross-check every internal size relation and the scan shards'
     /// tiling of the catalog — the "readers never observe a mix"
-    /// detector used by the swap tests and the `fig7c_live` bench.
+    /// detector used by the swap tests and the load harness.
     /// `true` iff the snapshot is internally consistent.
     pub fn verify_consistent(&self) -> bool {
         let model = self.model();

@@ -45,7 +45,7 @@
 //!    the publish latency histogram, a shared/copied chunk counter
 //!    pair and the bytes each publish did not share ([`LiveStats`]) so
 //!    `GET /live/stats` and `GET /metrics` *prove* the sharing in
-//!    production; `fig7c_live`'s publish sweep guards it in CI.
+//!    production; `proptest_cow` bounds the copies per publish in CI.
 //! 3. **`snapshot + replay(log) ≡ live state`.** Every applied event is
 //!    appended to a length-prefixed binary event log before it becomes
 //!    visible; events are deterministic (fold-ins carry their seed), so

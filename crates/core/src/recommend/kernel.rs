@@ -50,12 +50,6 @@ impl F32Kernel {
         F32Kernel::Scalar
     }
 
-    /// `true` iff a SIMD kernel (not just the scalar fallback) is
-    /// available on this CPU.
-    pub fn simd_available() -> bool {
-        F32Kernel::detect() != F32Kernel::Scalar
-    }
-
     /// Parse a kernel name: `scalar`, or `simd`/`avx2` for the widest
     /// detected SIMD kernel (falling back to scalar on CPUs without
     /// one, so a forced-SIMD test matrix still runs everywhere).

@@ -606,7 +606,11 @@ impl TierStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::distributions::Distribution;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use taxrec_factors::FactorMatrix;
+    use taxrec_taxonomy::ZipfWeights;
 
     fn tmpfile(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("taxrec-tier-{}-{tag}", std::process::id()));
@@ -718,6 +722,46 @@ mod tests {
         let mut out = vec![0.0f32; 3];
         tier.copy_row(10, &mut out, no_refold);
         assert_eq!(out, [1.0, 2.0, 3.0]);
+    }
+
+    /// Serve `reads` rows drawn from `dist` off a fresh tier (its own
+    /// registry, so its counters are its alone), checking every row
+    /// against the resident matrix; return the tier's final stats.
+    fn skewed_reads(
+        tag: &str,
+        users: &CowMatrix,
+        budget: usize,
+        dist: &ZipfWeights,
+        reads: usize,
+    ) -> TierStatsSnapshot {
+        let reg = registry();
+        let tier = UserTier::build(&tmpfile(tag), users, budget, &reg).unwrap();
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut out = vec![0.0f32; users.k()];
+        for _ in 0..reads {
+            let u = dist.sample(&mut rng);
+            tier.copy_row(u, &mut out, no_refold);
+            assert_eq!(out.as_slice(), users.row(u), "user {u}");
+        }
+        tier.stats_snapshot()
+    }
+
+    #[test]
+    fn zipf_reads_hit_a_half_budget_tier() {
+        let (n, budget, reads) = (1_000, 500, 5_000);
+        let users = matrix(n, 4);
+        let zipf = skewed_reads("zipf", &users, budget, &ZipfWeights::new(n, 1.1), reads);
+        assert!(zipf.hot_rows <= budget, "{} hot rows", zipf.hot_rows);
+        assert!(zipf.total_rows >= 2 * zipf.hot_rows);
+        assert!(zipf.hit_rate() >= 0.5, "zipf hit rate {}", zipf.hit_rate());
+        // Control: without skew the same half budget cannot keep up, so
+        // the hit rate above comes from the skew, not from the budget.
+        let uniform = skewed_reads("uniform", &users, budget, &ZipfWeights::new(n, 0.0), reads);
+        assert!(
+            uniform.hit_rate() < 0.5,
+            "uniform hit rate {}",
+            uniform.hit_rate()
+        );
     }
 
     #[test]
