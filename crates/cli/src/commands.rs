@@ -474,13 +474,15 @@ pub fn recommend(args: &CliArgs) -> Result<String, CliError> {
 fn backend_name(backend: &Backend, cascade_k: f64) -> String {
     match backend {
         Backend::Exhaustive => "exhaustive".to_string(),
+        Backend::Walk => "walk".to_string(),
         Backend::Cascaded(_) => format!("cascaded K={cascade_k}"),
         Backend::Quantized(_) => "quantized".to_string(),
     }
 }
 
 /// Parsed `--scan-kernel {scalar,simd,quantized}`: an f32 kernel to
-/// force on the engine, and/or the int8 first-pass backend.
+/// force on the engine (with the plain f32 scan), or the int8
+/// first-pass backend; with neither, the radius-bound walk serves.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ScanKernelChoice {
     /// Force this f32 kernel instead of auto-detection (`scalar`/`simd`).
@@ -490,23 +492,26 @@ pub(crate) struct ScanKernelChoice {
 }
 
 impl ScanKernelChoice {
-    /// The exact-scan backend `serve` and `recommend` use: the
-    /// int8-first scan unless an f32 kernel was named, which selects
-    /// the plain f32 scan with that kernel.
+    /// The exact backend `serve` and `recommend` use: the radius-bound
+    /// walk when the flag is absent, the int8-first scan for
+    /// `quantized`, and the plain f32 scan with the named kernel for
+    /// `scalar` / `simd`.
     pub fn serving_backend(&self) -> Backend {
         if self.force.is_some() {
             Backend::Exhaustive
-        } else {
+        } else if self.quantized {
             Backend::Quantized(QuantizedConfig::default())
+        } else {
+            Backend::Walk
         }
     }
 }
 
 /// Parse `--scan-kernel`. `scalar` and `simd` select the plain f32
 /// scan with that kernel forced (overriding both CPU detection and
-/// the `TAXREC_SCAN_KERNEL` env var); `quantized` — also what `serve`
-/// and `recommend` do when the flag is absent — selects the int8
+/// the `TAXREC_SCAN_KERNEL` env var); `quantized` selects the int8
 /// first-pass backend, whose exact rescore uses the detected kernel.
+/// Absent, `serve` and `recommend` use the radius-bound walk.
 pub(crate) fn parse_scan_kernel(args: &CliArgs) -> Result<ScanKernelChoice, CliError> {
     match args.value("scan-kernel") {
         None => Ok(ScanKernelChoice::default()),
@@ -861,7 +866,7 @@ mod tests {
         let parse = |flags: &str| parse_scan_kernel(&CliArgs::parse(argv(flags)));
         let backend = |flags: &str| parse(flags).unwrap().serving_backend();
         let quantized = Backend::Quantized(QuantizedConfig::default());
-        assert_eq!(backend(""), quantized);
+        assert_eq!(backend(""), Backend::Walk);
         assert_eq!(backend("--scan-kernel quantized"), quantized);
         assert_eq!(backend("--scan-kernel simd"), Backend::Exhaustive);
         assert_eq!(backend("--scan-kernel scalar"), Backend::Exhaustive);
@@ -895,7 +900,7 @@ mod tests {
             (header.to_string(), blocks.to_string())
         };
         let (header, default_blocks) = split(recommend("").unwrap());
-        assert!(header.contains("(quantized, kernel "), "{header}");
+        assert!(header.contains("(walk, kernel "), "{header}");
         for (flags, names) in [
             ("--scan-kernel quantized", "(quantized, kernel "),
             ("--scan-kernel scalar", "(exhaustive, kernel scalar,"),

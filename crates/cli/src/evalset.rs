@@ -52,7 +52,7 @@ pub struct EvalOverrides {
     pub candidate_k: Option<usize>,
     /// `--scan-shards S`
     pub scan_shards: Option<usize>,
-    /// `--backend exhaustive|cascaded`
+    /// `--backend exhaustive|cascaded|quantized|walk`
     pub backend: Option<String>,
     /// `--cascade F` (implies the cascaded backend when `< 1.0`, the
     /// same convention as `taxrec recommend`)
@@ -244,9 +244,10 @@ fn resolve_backend(
         "exhaustive" => Ok(BackendSpec::Exhaustive),
         "cascaded" => Ok(BackendSpec::Cascaded(fraction)),
         "quantized" => Ok(BackendSpec::Quantized),
+        "walk" => Ok(BackendSpec::Walk),
         other => Err(format!(
             "{whence}: unknown backend '{other}' \
-             (expected 'exhaustive', 'cascaded', or 'quantized')"
+             (expected 'exhaustive', 'cascaded', 'quantized', or 'walk')"
         )),
     }
 }

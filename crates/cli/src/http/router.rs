@@ -88,8 +88,7 @@ impl Response {
 
 /// Parse the `cascade` parameter into a backend override; without one
 /// the request serves through the engine's own configured backend
-/// (the int8-first scan, or the plain f32 scan under `--scan-kernel
-/// scalar|simd`).
+/// (the radius-bound walk, or the scan `--scan-kernel` named).
 fn backend_from(cascade: Option<&str>, depth: usize, default: &Backend) -> Backend {
     match cascade.and_then(|v| v.parse::<f64>().ok()) {
         Some(k) if k < 1.0 => Backend::Cascaded(CascadeConfig::uniform(depth, k.max(0.01))),
@@ -220,8 +219,9 @@ pub fn route(server: &LiveServer, method: &str, path_query: &str, body: &[u8]) -
                 snap.engine().backend(),
             );
             // Trace the full pipeline when this request is sampled (or
-            // slow capture is armed): prepare → per-shard scan → merge
-            // (or cascade) → response framing, all under one root span.
+            // slow capture is armed): prepare → walk (or per-shard scan
+            // → merge, or cascade) → response framing, all under one
+            // root span.
             let tracer = server.obs().tracer();
             if let Some(mut t) = tracer.start("recommend") {
                 let t_prep = t.clock();

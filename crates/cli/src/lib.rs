@@ -73,7 +73,7 @@ USAGE:
   taxrec evaluate  --data DIR --model FILE [--category-level L] [--threads T]
   taxrec evaluate  --data DIR --model FILE --dataset FILE.json [--json]
                    [--k K] [--candidate-k C] [--scan-shards S] [--threads T]
-                   [--backend exhaustive|cascaded|quantized] [--cascade F]
+                   [--backend exhaustive|cascaded|quantized|walk] [--cascade F]
                    [--scan-kernel scalar|simd|quantized] [--exclude-history]
                    [--compare CFG.json] [--write-baseline FILE [--tolerance F]]
                    [--assert-baseline FILE]
@@ -90,6 +90,9 @@ USAGE:
                    [--user-tier-budget ROWS]
 
 LIST is comma ids and/or inclusive ranges: 0,3,9 or 0-63 or 0-7,32-39.
+--scan-kernel picks the exact scan of serve and recommend: absent, the
+radius-bound walk; quantized, the int8-first scan; scalar|simd, the plain
+f32 scan with that kernel. All serve the same ranking, bit for bit.
 "
     .to_string()
 }

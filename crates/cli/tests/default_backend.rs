@@ -1,14 +1,15 @@
-//! The serving default is the exact int8-first scan (ISSUE 21): a
-//! server built from `LiveConfig::default()` must answer every read
-//! with the byte-identical body of a server forced onto the plain f32
-//! scan (`Backend::Exhaustive`, the oracle) — at every shard count,
-//! after every kind of live update, and at the edges of `top=`.
+//! The serving default is the exact radius-bound walk: a server built
+//! from `LiveConfig::default()` must answer every read with the
+//! byte-identical body of a server forced onto the plain f32 scan
+//! (`Backend::Exhaustive`, the oracle) — at every shard count, after
+//! every kind of live update (adds under a deepest category, a level-1
+//! category and the root among them), and at the edges of `top=`.
 
 use taxrec_cli::serve::{route, LiveServer};
 use taxrec_core::live::{LiveConfig, LiveState, UpdateEvent};
-use taxrec_core::{Backend, ModelConfig, QuantizedConfig, TfModel, TfTrainer};
+use taxrec_core::{Backend, ModelConfig, TfModel, TfTrainer};
 use taxrec_dataset::{DatasetConfig, SyntheticDataset};
-use taxrec_taxonomy::ItemId;
+use taxrec_taxonomy::{ItemId, NodeId};
 
 fn server(model: &TfModel, d: &SyntheticDataset, config: LiveConfig) -> LiveServer {
     LiveServer::new(LiveState::new(model.clone()), d.train.clone(), None, config).unwrap()
@@ -22,10 +23,7 @@ fn body(s: &LiveServer, path: &str) -> String {
 
 #[test]
 fn default_config_serves_the_exhaustive_bodies_through_a_live_stream() {
-    assert_eq!(
-        LiveConfig::default().backend,
-        Backend::Quantized(QuantizedConfig::default())
-    );
+    assert_eq!(LiveConfig::default().backend, Backend::Walk);
 
     let d = SyntheticDataset::generate(&DatasetConfig::tiny().with_users(80), 13);
     let model = TfTrainer::new(
@@ -34,9 +32,12 @@ fn default_config_serves_the_exhaustive_bodies_through_a_live_stream() {
     )
     .fit(&d.train, 3);
     let n_items = model.num_items() as u32;
-    let parent = {
+    let (parent, level1) = {
         let tax = model.taxonomy();
-        tax.parent(tax.item_node(ItemId(0))).unwrap()
+        (
+            tax.parent(tax.item_node(ItemId(0))).unwrap(),
+            NodeId(tax.nodes_at_level(1)[0]),
+        )
     };
     let whole_catalog: Vec<ItemId> = (0..n_items).map(ItemId).collect();
     let every_other: Vec<ItemId> = (0..n_items).step_by(2).map(ItemId).collect();
@@ -66,6 +67,11 @@ fn default_config_serves_the_exhaustive_bodies_through_a_live_stream() {
             seed: 3,
         },
         UpdateEvent::AddItem { parent },
+        UpdateEvent::AddItem { parent: level1 },
+        UpdateEvent::AddItem {
+            parent: NodeId::ROOT,
+        },
+        UpdateEvent::AddItem { parent: level1 },
     ];
     let reads = [
         "/recommend?user=0".to_string(),
@@ -115,13 +121,12 @@ fn default_config_serves_the_exhaustive_bodies_through_a_live_stream() {
         }
 
         // The user who bought the whole trained catalog is served only
-        // the three items added live — the exclusions ate the rest.
+        // the six items added live — the exclusions ate the rest.
         let only_new = body(&served, &format!("/recommend?user={folded}&top=10"));
-        assert_eq!(only_new.matches("\"id\":").count(), 3, "{only_new}");
-        // Every default-config read went through the int8 scan; the
-        // oracle's never did.
+        assert_eq!(only_new.matches("\"id\":").count(), 6, "{only_new}");
+        // Neither server ran the int8 scan.
         let scans = |s: &LiveServer| s.live().cell().load().quant_pool_stats().scans;
-        assert!(scans(&served) > 0, "S={scan_shards}");
+        assert_eq!(scans(&served), 0, "S={scan_shards}");
         assert_eq!(scans(&oracle), 0, "S={scan_shards}");
     }
 }

@@ -11,7 +11,7 @@ use taxrec_cli::json::{self, Json};
 use taxrec_cli::serve::{route, LiveServer, Response};
 use taxrec_core::live::{LiveConfig, LiveState};
 use taxrec_core::obs::SampleReason;
-use taxrec_core::{untrained_model, ModelConfig, Obs, TfTrainer};
+use taxrec_core::{untrained_model, Backend, ModelConfig, Obs, QuantizedConfig, TfTrainer};
 use taxrec_dataset::{DatasetConfig, PurchaseLogBuilder, SyntheticDataset};
 use taxrec_taxonomy::{ItemId, TaxonomyGenerator, TaxonomyShape};
 
@@ -293,8 +293,14 @@ fn counter_series(families: &HashMap<String, Family>) -> HashMap<String, f64> {
 // ── Fixtures ────────────────────────────────────────────────────────
 
 /// A trained tiny server with everything observable: 2 scan shards and
-/// a tracer sampling every request.
+/// a tracer sampling every request, serving through the default
+/// backend.
 fn observed_server(scan_shards: usize) -> LiveServer {
+    observed_server_on(scan_shards, LiveConfig::default().backend)
+}
+
+/// [`observed_server`] serving through `backend`.
+fn observed_server_on(scan_shards: usize, backend: Backend) -> LiveServer {
     let d = SyntheticDataset::generate(&DatasetConfig::tiny().with_users(100), 3);
     let model = TfTrainer::new(
         ModelConfig::tf(4, 1).with_factors(4).with_epochs(2),
@@ -307,11 +313,16 @@ fn observed_server(scan_shards: usize) -> LiveServer {
         None,
         LiveConfig {
             scan_shards,
+            backend,
             obs: Obs::shared_with_tracing(1.0, 0),
             ..LiveConfig::default()
         },
     )
     .unwrap()
+}
+
+fn quantized() -> Backend {
+    Backend::Quantized(QuantizedConfig::default())
 }
 
 fn get(s: &LiveServer, path: &str) -> Response {
@@ -322,7 +333,9 @@ fn get(s: &LiveServer, path: &str) -> Response {
 
 #[test]
 fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
-    let st = observed_server(2);
+    // The int8-first scan is the backend that drives the per-shard and
+    // quantized families; the walk's own are checked below.
+    let st = observed_server_on(2, quantized());
     // Drive every family: reads across both shards, a 4xx, a write.
     for u in 0..4 {
         assert_eq!(get(&st, &format!("/recommend?user={u}&top=5")).status, 200);
@@ -378,6 +391,9 @@ fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
         ("taxrec_cascade_requests_total", "counter"),
         ("taxrec_cascade_scored_nodes_total", "counter"),
         ("taxrec_cascade_kept_leaves_total", "counter"),
+        ("taxrec_walk_requests_total", "counter"),
+        ("taxrec_walk_rows_scored_total", "counter"),
+        ("taxrec_walk_categories_visited_total", "counter"),
     ] {
         let fam = families
             .get(family)
@@ -394,8 +410,8 @@ fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
         assert!(rows.value > 0.0, "shard {shard} scanned no rows");
     }
 
-    // Default serving is the int8-first scan: it rescored some rows in
-    // f32, and never more than it scanned.
+    // The int8-first scan rescored some rows in f32, and never more
+    // than it scanned.
     let total = |family: &str| -> f64 { families[family].samples.iter().map(|s| s.value).sum() };
     let rescored = total("taxrec_quant_rescored_rows_total");
     assert!(rescored > 0.0, "default serving rescored no rows");
@@ -553,6 +569,75 @@ fn cascade_counters_move_only_on_cascaded_reads() {
 }
 
 #[test]
+fn walk_counters_move_on_default_reads_only() {
+    let st = observed_server(2);
+    // (requests, rows scored, categories visited) as `/metrics` reports
+    // them, and the scan families the walk must leave alone.
+    let scrape = |st: &LiveServer| -> ([f64; 3], [f64; 2]) {
+        let families = parse_prometheus(&get(st, "/metrics").body).unwrap();
+        let total = |family: &str| -> f64 {
+            assert_eq!(families[family].kind, "counter", "{family}");
+            families[family].samples.iter().map(|s| s.value).sum()
+        };
+        (
+            [
+                "taxrec_walk_requests_total",
+                "taxrec_walk_rows_scored_total",
+                "taxrec_walk_categories_visited_total",
+            ]
+            .map(total),
+            ["taxrec_scan_rows_total", "taxrec_quant_pool_scans_total"].map(total),
+        )
+    };
+    let catalog = st.live().cell().load().model().num_items() as f64;
+    assert_eq!(scrape(&st), ([0.0; 3], [0.0; 2]));
+
+    // One count per user: two single reads and a four-user batch.
+    assert_eq!(get(&st, "/recommend?user=1&top=5").status, 200);
+    assert_eq!(get(&st, "/recommend?user=2&top=5").status, 200);
+    assert_eq!(get(&st, "/recommend/batch?users=0-3&top=5").status, 200);
+    let ([requests, rows, categories], scans) = scrape(&st);
+    assert_eq!(requests, 6.0);
+    assert_eq!(scans, [0.0; 2], "the walk ran a catalog scan");
+    assert!(categories >= requests, "every walk scores the root");
+    // The point of the walk: a small share of the catalog per read.
+    assert!(
+        rows > 0.0 && rows / requests < catalog / 4.0,
+        "{rows} rows over {requests} reads of a {catalog}-item catalog"
+    );
+
+    // A cascaded read is not a walk.
+    assert_eq!(get(&st, "/recommend?user=1&top=5&cascade=0.3").status, 200);
+    assert_eq!(
+        get(&st, "/recommend/batch?users=0-3&top=5&cascade=0.3").status,
+        200
+    );
+    assert_eq!(scrape(&st).0, [requests, rows, categories]);
+}
+
+#[test]
+fn walk_trace_has_one_walk_span() {
+    let st = observed_server(2);
+    assert_eq!(get(&st, "/recommend?user=0&top=10").status, 200);
+    let traces = st.obs().tracer().recent(1);
+    assert_eq!(traces.len(), 1, "sample rate 1.0 must capture the request");
+    let t = &traces[0];
+    assert_eq!(t.kind, "recommend");
+    let names: Vec<&str> = t.spans[1..].iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(
+        names,
+        ["prepare", "query", "walk", "response_framing"],
+        "{:?}",
+        t.spans
+    );
+    for s in &t.spans[1..] {
+        assert_eq!(s.parent, Some(1), "{s:?}");
+    }
+    let resp = get(&st, "/live/trace?n=1");
+    assert!(resp.body.contains("\"walk\""), "{}", resp.body);
+}
+
+#[test]
 fn sequential_adds_recycle_the_taxonomy_arena() {
     let st = observed_server(2);
     let scrape = |st: &LiveServer| -> (f64, f64) {
@@ -611,6 +696,7 @@ fn recommend_trace_has_one_scan_span_per_shard_summing_to_the_request() {
         None,
         LiveConfig {
             scan_shards: SHARDS,
+            backend: quantized(),
             obs: Obs::shared_with_tracing(1.0, 0),
             ..LiveConfig::default()
         },

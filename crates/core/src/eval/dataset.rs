@@ -47,6 +47,9 @@ pub enum BackendSpec {
     /// Int8 first-pass scan with exact f32 rescore (default pool
     /// sizing) — serves the exhaustive ranking bit-for-bit.
     Quantized,
+    /// Radius-bound walk over the taxonomy — serves the exhaustive
+    /// ranking bit-for-bit.
+    Walk,
 }
 
 impl BackendSpec {
@@ -61,16 +64,18 @@ impl BackendSpec {
             BackendSpec::Quantized => {
                 Backend::Quantized(crate::recommend::QuantizedConfig::default())
             }
+            BackendSpec::Walk => Backend::Walk,
         }
     }
 
     /// Stable label for reports (`"exhaustive"` / `"cascaded(0.4)"` /
-    /// `"quantized"`).
+    /// `"quantized"` / `"walk"`).
     pub fn label(&self) -> String {
         match self {
             BackendSpec::Exhaustive => "exhaustive".to_string(),
             BackendSpec::Cascaded(f) => format!("cascaded({f})"),
             BackendSpec::Quantized => "quantized".to_string(),
+            BackendSpec::Walk => "walk".to_string(),
         }
     }
 }

@@ -28,7 +28,7 @@ use super::state::{Applied, LiveState};
 use super::stats::LiveStats;
 use super::LiveError;
 use crate::obs::Obs;
-use crate::recommend::{Backend, QuantizedConfig};
+use crate::recommend::Backend;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -39,10 +39,9 @@ use std::thread::JoinHandle;
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
     /// Inference backend every published snapshot serves with. The
-    /// default is the exact int8-first scan
-    /// ([`Backend::Quantized`]): the same ranking as
-    /// [`Backend::Exhaustive`], bit for bit, at a quarter of the bytes
-    /// streamed per catalog row.
+    /// default is the exact radius-bound walk ([`Backend::Walk`]): the
+    /// same ranking as [`Backend::Exhaustive`], bit for bit, from a few
+    /// hundred row reads instead of one per catalog item.
     pub backend: Backend,
     /// Most events folded into one publish. Batching amortises the
     /// per-publish model clone and the WAL flush; each event is still
@@ -94,7 +93,7 @@ pub struct LiveConfig {
 impl Default for LiveConfig {
     fn default() -> LiveConfig {
         LiveConfig {
-            backend: Backend::Quantized(QuantizedConfig::default()),
+            backend: Backend::Walk,
             batch_cap: 64,
             snapshot_every: 0,
             log_path: None,

@@ -389,6 +389,9 @@ pub struct ScanMetrics {
     cascade_requests: Counter,
     cascade_scored_nodes: Counter,
     cascade_kept_leaves: Counter,
+    walk_requests: Counter,
+    walk_rows_scored: Counter,
+    walk_categories_visited: Counter,
 }
 
 #[derive(Debug)]
@@ -461,6 +464,21 @@ impl ScanMetrics {
                 "Leaves the cascaded reads ranked after the final cut (at most top + excluded)",
                 &[],
             ),
+            walk_requests: registry.counter(
+                "taxrec_walk_requests_total",
+                "Per-user exact reads served by the radius-bound walk",
+                &[],
+            ),
+            walk_rows_scored: registry.counter(
+                "taxrec_walk_rows_scored_total",
+                "Item rows the walk reads scored exactly (one kernel dot each)",
+                &[],
+            ),
+            walk_categories_visited: registry.counter(
+                "taxrec_walk_categories_visited_total",
+                "Category rows the walk reads scored to bound the items below them",
+                &[],
+            ),
         })
     }
 
@@ -494,6 +512,14 @@ impl ScanMetrics {
         self.cascade_requests.inc();
         self.cascade_scored_nodes.add(scored_nodes);
         self.cascade_kept_leaves.add(kept_leaves);
+    }
+
+    /// Record one walk read: the item rows it scored exactly and the
+    /// category rows it scored for bounds.
+    pub fn record_walk(&self, rows_scored: u64, categories_visited: u64) {
+        self.walk_requests.inc();
+        self.walk_rows_scored.add(rows_scored);
+        self.walk_categories_visited.add(categories_visited);
     }
 
     /// Quantized first-pass scans recorded.

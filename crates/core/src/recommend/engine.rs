@@ -10,6 +10,7 @@ use super::batch::{self, Shard};
 use super::kernel::{F32Kernel, QuantQuery};
 use super::shards::{self, CatalogPartition};
 use super::topk::{TopK, SCORE_BLOCK};
+use super::walk::{Frontier, WalkIndex};
 use crate::inference::{Beam, CascadeConfig};
 use crate::model::TfModel;
 use crate::obs::{ScanMetrics, TraceBuilder};
@@ -64,8 +65,15 @@ impl QuantizedConfig {
 /// Which inference path serves a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Backend {
-    /// Score every catalog item (exact).
+    /// Score every catalog item (exact): the oracle every other exact
+    /// backend is tested against.
     Exhaustive,
+    /// Best-first walk over per-category radius bounds
+    /// ([`crate::recommend`] module docs): scores only the item rows
+    /// whose bound can still reach the top-K — about 150 of 32 000 on a
+    /// K = 64 catalog — and always serves the exhaustive ranking. The
+    /// default of live serving ([`crate::live::LiveConfig`]).
+    Walk,
     /// Beam through the taxonomy with the given per-level keep
     /// fractions (approximate; Sec. 5.1). Keep fractions of 1.0
     /// reproduce the exhaustive ranking.
@@ -122,6 +130,8 @@ struct Scratch {
     qapprox: Vec<f32>,
     /// One drained top-K list per catalog shard, reused across requests.
     partials: Vec<Vec<(ItemId, f32)>>,
+    /// Bound heap of the radius walk.
+    frontier: Frontier,
 }
 
 impl Scratch {
@@ -134,6 +144,7 @@ impl Scratch {
             qdots: Vec::new(),
             qapprox: Vec::new(),
             partials: Vec::new(),
+            frontier: Frontier::default(),
         }
     }
 }
@@ -177,7 +188,9 @@ fn rescore_budget(cfg: &QuantizedConfig, k: usize, shard_rows: u64) -> u64 {
 /// item row. The exhaustive scan reads each item's row from it through
 /// the taxonomy's item → leaf-node map, in 256-row blocks of item ids,
 /// and the only per-shard state is the int8 shadow the quantized first
-/// pass scans.
+/// pass scans. [`Backend::Walk`] reads the same rows, a few hundred
+/// per request, through a per-category radius index built with the
+/// engine.
 ///
 /// ```
 /// use taxrec_core::recommend::{Backend, RecommendEngine, RecommendRequest};
@@ -220,6 +233,9 @@ pub struct RecommendEngine<M: Deref<Target = TfModel>> {
     /// int8 shadow of items `[first_s, first_{s+1})`.
     shards: Vec<CatalogShard>,
     backend: Backend,
+    /// Radius bounds and per-category item lists of [`Backend::Walk`];
+    /// grown, not rebuilt, by [`grown_from`](Self::grown_from).
+    walk: WalkIndex,
     /// The f32 dot-product kernel every scan dispatches through,
     /// selected once at construction ([`F32Kernel::select`]) and
     /// inherited by successor engines. Dispatch is bit-invariant.
@@ -291,10 +307,12 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
                 ),
             })
             .collect();
+        let walk = WalkIndex::build(&scorer);
         RecommendEngine {
             scorer,
             shards,
             backend,
+            walk,
             kernel: F32Kernel::select(),
             quant_pool: Arc::new(QuantPoolCounters::default()),
             scan_metrics: None,
@@ -311,7 +329,10 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     ///
     /// Appended item ids extend the id space past the last shard's
     /// range, so a live `AddItem` routes to the **last shard's tail**;
-    /// every other shard is shared with `prev` by pointer.
+    /// every other shard is shared with `prev` by pointer. The walk
+    /// index inserts each new item into its parent's list of added
+    /// items (copying that list only) and raises the radii of its
+    /// `O(depth)` ancestors.
     pub fn grown_from<P: Deref<Target = TfModel>>(
         prev: &RecommendEngine<P>,
         model: M,
@@ -327,10 +348,12 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
             // quant chunk stays shared with `prev` by pointer.
             tail.quant.push_row(scorer.item_factor(ItemId(i as u32)));
         }
+        let walk = prev.walk.grown(&scorer, prev_items);
         RecommendEngine {
             scorer,
             shards,
             backend,
+            walk,
             kernel: prev.kernel,
             quant_pool: prev.quant_pool.clone(),
             scan_metrics: prev.scan_metrics.clone(),
@@ -539,6 +562,9 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     fn cost(&self, req: &RecommendRequest<'_>, backend: &Backend) -> u64 {
         let scan = match backend {
             Backend::Exhaustive => self.model().num_items(),
+            // A walk scores about a hundred category and item rows plus
+            // a few per requested item, whatever the catalog size.
+            Backend::Walk => 128 + 2 * req.k.min(self.model().num_items()),
             // The quantized first pass reads 4× less per row; the
             // planner only needs relative weights.
             Backend::Quantized(_) => (self.model().num_items() / 4).max(1),
@@ -558,9 +584,9 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
 
     /// [`recommend_with`](Self::recommend_with) recording one span per
     /// pipeline stage into `trace`: `query`, then one `scan[i]` per
-    /// catalog shard and `merge` (exhaustive and quantized backends) or
-    /// `cascade_rescore` (cascaded backend). Identical results to the
-    /// untraced path.
+    /// catalog shard and `merge` (exhaustive and quantized backends),
+    /// `walk` (walk backend) or `cascade_rescore` (cascaded backend).
+    /// Identical results to the untraced path.
     pub fn recommend_traced(
         &self,
         req: &RecommendRequest<'_>,
@@ -603,6 +629,7 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         }
         match backend {
             Backend::Exhaustive => self.exhaustive_into(req, scratch, out, trace),
+            Backend::Walk => self.walk_into(req, scratch, out, trace),
             Backend::Quantized(cfg) => self.quantized_into(req, cfg, scratch, out, trace),
             Backend::Cascaded(cfg) => {
                 let t_cascade = trace.as_ref().map(|t| t.clock());
@@ -783,6 +810,36 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         }
     }
 
+    /// Walk serving: one best-first walk over the radius index across
+    /// the whole catalog (catalog shards play no part), then the heap
+    /// drained best first. Served bits are the exhaustive scan's.
+    fn walk_into(
+        &self,
+        req: &RecommendRequest<'_>,
+        scratch: &mut Scratch,
+        out: &mut Vec<(ItemId, f32)>,
+        mut trace: Option<&mut TraceBuilder>,
+    ) {
+        let k = req.k.min(self.catalog_len());
+        let t_span = trace.as_ref().map(|t| t.clock());
+        let (rows, categories) = self.walk.top_k_into(
+            &self.scorer,
+            self.kernel,
+            &scratch.query,
+            req.exclude,
+            k,
+            &mut scratch.frontier,
+            &mut scratch.topk,
+        );
+        scratch.topk.drain_sorted_into(out);
+        if let Some(sm) = self.scan_metrics.as_ref() {
+            sm.record_walk(rows, categories);
+        }
+        if let (Some(t), Some(start)) = (trace.as_mut(), t_span) {
+            t.close("walk", start);
+        }
+    }
+
     /// Quantized serving: per-shard int8 branch-and-bound scan with
     /// exact f32 rescoring of every row still competing within the
     /// rigorous error bound — so the served ranking is **always**
@@ -943,6 +1000,7 @@ mod tests {
         let depth = m.taxonomy().depth();
         for backend in [
             Backend::Exhaustive,
+            Backend::Walk,
             Backend::Cascaded(CascadeConfig::uniform(depth, 1.0)),
         ] {
             let engine = RecommendEngine::with_backend(&m, backend.clone());
@@ -996,27 +1054,34 @@ mod tests {
     #[test]
     fn default_serving_backend_batches_match_per_request_calls() {
         let m = model(1);
-        let backend = crate::live::LiveConfig::default().backend;
-        assert_eq!(backend, Backend::Quantized(QuantizedConfig::default()));
+        let default = crate::live::LiveConfig::default().backend;
+        assert_eq!(default, Backend::Walk);
         let oracle = RecommendEngine::new(&m);
-        let engine = RecommendEngine::with_backend_sharded(&m, backend, 2);
         let requests: Vec<RecommendRequest> =
             (0..33).map(|u| RecommendRequest::simple(u, 6)).collect();
-        let want: Vec<_> = requests.iter().map(|r| engine.recommend(r)).collect();
-        for (req, got) in requests.iter().zip(&want) {
-            assert_eq!(got, &oracle.recommend(req), "user {}", req.user);
+        for backend in [default, Backend::Quantized(QuantizedConfig::default())] {
+            let engine = RecommendEngine::with_backend_sharded(&m, backend.clone(), 2);
+            let want: Vec<_> = requests.iter().map(|r| engine.recommend(r)).collect();
+            for (req, got) in requests.iter().zip(&want) {
+                assert_eq!(got, &oracle.recommend(req), "{backend:?} user {}", req.user);
+            }
+            for threads in [1usize, 2] {
+                assert_eq!(
+                    engine.recommend_batch(&requests, threads),
+                    want,
+                    "{backend:?} {threads} threads"
+                );
+            }
+            // Every quantized worker bumps the same three atomics: none
+            // may be lost. The walk bumps none of them.
+            let stats = engine.quant_pool_stats();
+            let scans = match backend {
+                Backend::Quantized(_) => 3 * 2 * requests.len() as u64,
+                _ => 0,
+            };
+            assert_eq!(stats.scans, scans, "{backend:?}");
+            assert_eq!(stats.sufficient + stats.insufficient, stats.scans);
         }
-        for threads in [1usize, 2] {
-            assert_eq!(
-                engine.recommend_batch(&requests, threads),
-                want,
-                "{threads} threads"
-            );
-        }
-        // Every worker bumps the same three atomics: none may be lost.
-        let stats = engine.quant_pool_stats();
-        assert_eq!(stats.scans, 3 * 2 * requests.len() as u64);
-        assert_eq!(stats.sufficient + stats.insufficient, stats.scans);
     }
 
     #[test]

@@ -9,14 +9,16 @@
 //!  TfModel ────────► │ RecommendEngine               │
 //!   (trained)        │  · Scorer (effective factors) │
 //!                    │  · int8 shadow per shard      │
+//!                    │  · walk index (radii, lists)  │
 //!                    └──────────────┬────────────────┘
 //!  requests ─► batch::plan ─► shard │ shard │ shard    (worker threads)
 //!                                   ▼       ▼
 //!                        per-worker Scratch: query buf,
 //!                        block buf, reusable TopK heap
 //!                                   │
+//!          Backend::Walk       ─ best-first radius walk   ─► TopK
 //!          Backend::Exhaustive ─ blocked dot-product scan ─► TopK
-//!          Backend::Cascaded  ─ taxonomy beam (Sec. 5.1)  ─► truncate
+//!          Backend::Cascaded   ─ taxonomy beam (Sec. 5.1) ─► truncate
 //! ```
 //!
 //! Three properties the tests pin down:
@@ -56,23 +58,34 @@
 //! The inner dot products dispatch through a runtime-selected
 //! [`F32Kernel`] (portable scalar / AVX2, selected once at engine
 //! construction, forceable via [`SCAN_KERNEL_ENV`]), and
-//! [`Backend::Quantized`] — the default of live serving
-//! ([`crate::live::LiveConfig`]) — adds an int8 first-pass scan that
-//! rescores in exact f32 every row its rigorous error bound leaves in
-//! play. Both are *bit-invariant* by
-//! construction — the SIMD kernels reproduce the scalar lane-split
-//! summation exactly, and the quantized backend always serves the
-//! exhaustive ranking — so a fifth law joins the four above:
+//! [`Backend::Quantized`] adds an int8 first-pass scan that rescores in
+//! exact f32 every row its rigorous error bound leaves in play. Both
+//! are *bit-invariant* by construction — the SIMD kernels reproduce the
+//! scalar lane-split summation exactly, and the quantized backend
+//! always serves the exhaustive ranking — so a fifth law joins the four
+//! above:
 //!
 //! * **kernel ≡ kernel** — forced scalar, forced SIMD, and the
 //!   quantized backend serve bit-identical scores, ids, and order
 //!   (`tests/differential_kernels.rs`).
+//!
+//! [`Backend::Walk`] — the default of live serving
+//! ([`crate::live::LiveConfig`]) — reads no catalog scan at all: a
+//! best-first walk over per-category radius bounds scores only the item
+//! rows whose bound `q·e_c + ‖q‖·r` (padded for f32 rounding) can still
+//! reach the top-K, with the exhaustive scan's own dot of the scorer's
+//! row (see `walk.rs`). A sixth law:
+//!
+//! * **walk ≡ exhaustive** — bit-identical scores, ids, and order on
+//!   tie-heavy, shallow-leaf, tight-bound and live-grown models
+//!   (`tests/differential_walk.rs`).
 
 pub mod batch;
 mod engine;
 mod kernel;
 pub mod shards;
 mod topk;
+mod walk;
 
 pub use engine::{Backend, QuantPoolStats, QuantizedConfig, RecommendEngine, RecommendRequest};
 pub use kernel::{F32Kernel, QuantQuery, SCAN_KERNEL_ENV};
