@@ -1,8 +1,7 @@
 //! Lock-free serving metrics: per-route counters and a latency
-//! histogram, surfaced through `GET /live/stats` and, since the
-//! observability rework, registered into the unified
-//! [`MetricsRegistry`] so `GET /metrics` exposes the same atomics as
-//! Prometheus families.
+//! histogram, registered into the unified [`MetricsRegistry`] — `GET
+//! /metrics` and `GET /live/stats` render them as the `taxrec_http_*`
+//! families.
 //!
 //! Everything here is a registry handle over `AtomicU64` with relaxed
 //! ordering — workers record concurrently without coordination, and a
@@ -13,7 +12,6 @@
 //! (no locks, no allocation) and quantiles are read by walking the
 //! cumulative counts in exactly one place.
 
-use crate::json::json_str;
 use std::time::Duration;
 use taxrec_core::obs::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 
@@ -207,38 +205,6 @@ impl HttpMetrics {
             requests: latency.total(),
         }
     }
-
-    /// The `"http"` object embedded in `GET /live/stats`.
-    pub fn to_json(&self) -> String {
-        let s = self.snapshot();
-        let routes: Vec<String> = ROUTE_LABELS
-            .iter()
-            .zip(&s.routes)
-            .map(|(label, r)| {
-                format!(
-                    "{}:{{\"requests\":{},\"4xx\":{},\"5xx\":{}}}",
-                    json_str(label),
-                    r.requests,
-                    r.status_4xx,
-                    r.status_5xx
-                )
-            })
-            .collect();
-        format!(
-            "{{\"workers\":{},\"queue_depth\":{},\"connections\":{},\"dropped\":{},\
-             \"queue_full\":{},\"requests\":{},\"latency_p50_us\":{},\"latency_p99_us\":{},\
-             \"routes\":{{{}}}}}",
-            s.workers,
-            s.queue_depth,
-            s.connections,
-            s.dropped,
-            s.queue_full,
-            s.requests,
-            s.p50_us,
-            s.p99_us,
-            routes.join(",")
-        )
-    }
 }
 
 /// Plain-data copy of [`HttpMetrics`] at one read point.
@@ -298,9 +264,6 @@ mod tests {
         assert_eq!(s.route("other").status_4xx, 1);
         assert_eq!(s.route("/items").status_5xx, 1);
         assert_eq!(s.requests, 4);
-        let json = m.to_json();
-        assert!(json.contains("\"/recommend\":{\"requests\":2"), "{json}");
-        assert!(json.contains("\"queue_full\":0"), "{json}");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   half-published model.
 //! * [`metrics`] — lock-free serving counters (per-route requests and
 //!   error classes, queue-full rejections, a latency histogram for
-//!   p50/p99) surfaced through `GET /live/stats`.
+//!   p50/p99), registered into the metrics registry that `GET /metrics`
+//!   and `GET /live/stats` render.
 //!
 //! The split mirrors the HTAP read/update separation the live
 //! subsystem already encodes: POSTs keep their single-applier

@@ -9,7 +9,8 @@
 use crate::json::{self, json_str, Json};
 use crate::serve::{LiveServer, ReplRole};
 use std::fmt::Write;
-use taxrec_core::live::{LiveError, UpdateEvent};
+use taxrec_core::live::{LiveEngine, LiveError, UpdateEvent};
+use taxrec_core::obs::SeriesValue;
 use taxrec_core::{Backend, CascadeConfig, RecommendRequest};
 use taxrec_dataset::Transaction;
 use taxrec_taxonomy::{ItemId, NodeId};
@@ -335,60 +336,7 @@ pub fn route(server: &LiveServer, method: &str, path_query: &str, body: &[u8]) -
                 cats.join(",")
             ))
         }
-        "/live/stats" => {
-            let s = server.live().stats().snapshot();
-            Response::ok(format!(
-                "{{\"version\":{},\"uptime_seconds\":{},\
-                 \"epoch\":{},\"users\":{},\"items\":{},\"base_users\":{},\"base_items\":{},\
-                 \"scan_shards\":{},\"scan_kernel\":{},\
-                 \"quant_pool\":{{\"scans\":{},\"sufficient\":{},\"insufficient\":{}}},\
-                 \"events\":{{\"enqueued\":{},\"applied\":{},\"rejected\":{},\"pending\":{}}},\
-                 \"items_added\":{},\"users_folded\":{},\"users_refolded\":{},\"publishes\":{},\
-                 \"publish_p50_us\":{},\"publish_p99_us\":{},\
-                 \"wal_append_p50_us\":{},\"wal_append_p99_us\":{},\
-                 \"wal_fsync_p50_us\":{},\"wal_fsync_p99_us\":{},\
-                 \"model_shared_chunks\":{},\"model_copied_chunks\":{},\
-                 \"model_bytes\":{},\"tier\":{},\
-                 \"snapshots_written\":{},\"log_bytes\":{},\"log_errors\":{},\
-                 \"degraded\":{},{},\"http\":{}}}",
-                json_str(env!("CARGO_PKG_VERSION")),
-                server.obs().uptime_seconds(),
-                snap.epoch(),
-                snap.model().num_users(),
-                snap.model().num_items(),
-                snap.base_users(),
-                snap.base_items(),
-                snap.scan_shards(),
-                json_str(snap.scan_kernel()),
-                snap.quant_pool_stats().scans,
-                snap.quant_pool_stats().sufficient,
-                snap.quant_pool_stats().insufficient,
-                s.enqueued,
-                s.applied,
-                s.rejected,
-                server.live().stats().pending(),
-                s.items_added,
-                s.users_folded,
-                s.users_refolded,
-                s.publishes,
-                s.publish_p50_us,
-                s.publish_p99_us,
-                s.wal_append_p50_us,
-                s.wal_append_p99_us,
-                s.wal_fsync_p50_us,
-                s.wal_fsync_p99_us,
-                s.model_shared_chunks,
-                s.model_copied_chunks,
-                model_bytes_json(&s),
-                tier_json(snap.model().user_tier_stats()),
-                s.snapshots_written,
-                s.log_bytes,
-                s.log_errors,
-                s.degraded,
-                replication_json(server),
-                server.http_metrics().to_json(),
-            ))
-        }
+        "/live/stats" => Response::ok(stats_json(server, &snap)),
         "/metrics" => Response::prometheus(server.obs().registry().render_prometheus()),
         "/live/trace" => {
             let n = get_param("n")
@@ -495,84 +443,63 @@ pub fn route(server: &LiveServer, method: &str, path_query: &str, body: &[u8]) -
     }
 }
 
-/// The `"model_bytes"` object in `/live/stats`: resident factor bytes
-/// per table, split into chunks shared with another epoch vs owned by
-/// this snapshot alone — the resident-set proof behind the tiering and
-/// O(change)-publish claims. Under tiering the `user` table is the hot
-/// arena's backing matrix only (near zero; cold rows live on disk).
-fn model_bytes_json(s: &taxrec_core::live::LiveStatsSnapshot) -> String {
-    let [(us, uo), (ns, no), (xs, xo)] = s.model_bytes;
-    format!(
-        "{{\"user\":{{\"shared\":{us},\"owned\":{uo}}},\
-         \"node\":{{\"shared\":{ns},\"owned\":{no}}},\
-         \"next\":{{\"shared\":{xs},\"owned\":{xo}}},\
-         \"total\":{}}}",
-        us + uo + ns + no + xs + xo
-    )
-}
-
-/// The `"tier"` object in `/live/stats`: `null` when the user matrix is
-/// fully resident, otherwise the hot/cold tier's sizes, hit/fault
-/// counters and fault-latency quantiles.
-fn tier_json(stats: Option<taxrec_core::TierStatsSnapshot>) -> String {
-    let Some(t) = stats else {
-        return "null".to_string();
-    };
-    format!(
-        "{{\"budget_rows\":{},\"hot_rows\":{},\"cold_rows\":{},\"total_rows\":{},\
-         \"hits\":{},\"faults\":{},\"cold_reads\":{},\"refolds\":{},\"evictions\":{},\
-         \"hit_rate\":{:.4},\
-         \"fault_cold_p50_us\":{},\"fault_cold_p99_us\":{},\
-         \"fault_refold_p50_us\":{},\"fault_refold_p99_us\":{}}}",
-        t.budget_rows,
-        t.hot_rows,
-        t.cold_rows,
-        t.total_rows,
-        t.hits,
-        t.faults(),
-        t.cold_reads,
-        t.refolds,
-        t.evictions,
-        t.hit_rate(),
-        t.fault_cold_p50_us,
-        t.fault_cold_p99_us,
-        t.fault_refold_p50_us,
-        t.fault_refold_p99_us,
-    )
-}
-
-/// The role-dependent `/live/stats` fields: `"role"` always, plus a
-/// `"replication"` object on leaders/followers and a top-level
-/// `"replication_lag"` on followers (the headline convergence signal).
-fn replication_json(server: &LiveServer) -> String {
+/// The `GET /live/stats` body: a header of the facts that are not
+/// registry series, then one entry per registry family under its
+/// Prometheus name — the same walk `GET /metrics` renders. An
+/// unlabelled counter or gauge is a number; a labelled family is an
+/// array of its label pairs plus `value`; a histogram value is
+/// `{count, sum_us, p50_us, p99_us}`.
+fn stats_json(server: &LiveServer, snap: &LiveEngine) -> String {
+    let num = |v: u64| Json::Num(v as f64);
+    let text = |s: &str| Json::Str(s.to_string());
+    let mut body = vec![
+        ("version".into(), text(env!("CARGO_PKG_VERSION"))),
+        ("uptime_seconds".into(), num(server.obs().uptime_seconds())),
+    ];
     match server.repl_role() {
-        ReplRole::Standalone => "\"role\":\"standalone\"".to_string(),
-        ReplRole::Leader { .. } => {
-            let hub = server
-                .live()
-                .replication()
-                .expect("a replication leader retains records");
-            let rs = hub.stats();
-            format!(
-                "\"role\":\"leader\",\"replication\":{{\"committed\":{},\"followers\":{},\
-                 \"records_shipped\":{},\"handshakes_rejected\":{}}}",
-                rs.committed(),
-                rs.followers(),
-                rs.records_shipped(),
-                rs.handshakes_rejected(),
-            )
+        ReplRole::Standalone => body.push(("role".into(), text("standalone"))),
+        ReplRole::Leader { .. } => body.push(("role".into(), text("leader"))),
+        ReplRole::Follower { leader, .. } => {
+            body.push(("role".into(), text("follower")));
+            body.push(("leader".into(), text(leader)));
         }
-        ReplRole::Follower { leader, stats } => format!(
-            "\"role\":\"follower\",\"replication_lag\":{},\
-             \"replication\":{{\"leader\":{},\"leader_committed\":{},\"applied\":{},\
-             \"reconnects\":{}}}",
-            stats.lag(),
-            json_str(leader),
-            stats.leader_committed(),
-            stats.records_applied(),
-            stats.reconnects(),
-        ),
     }
+    body.extend([
+        ("epoch".into(), num(snap.epoch())),
+        ("base_users".into(), num(snap.base_users() as u64)),
+        ("base_items".into(), num(snap.base_items() as u64)),
+    ]);
+    let value = |v: &SeriesValue| match v {
+        SeriesValue::Counter(c) => num(c.get()),
+        SeriesValue::Gauge(g) => num(g.get()),
+        SeriesValue::Histogram(h) => {
+            let q = h.snapshot();
+            Json::Obj(vec![
+                ("count".into(), num(q.total())),
+                ("sum_us".into(), num(h.sum_us())),
+                ("p50_us".into(), num(q.quantile_us(0.50))),
+                ("p99_us".into(), num(q.quantile_us(0.99))),
+            ])
+        }
+    };
+    server.obs().registry().for_each_family(|f| {
+        let entry = match f.series.as_slice() {
+            [only] if only.labels.is_empty() => value(&only.value),
+            series => Json::Arr(
+                series
+                    .iter()
+                    .map(|s| {
+                        let mut pairs: Vec<(String, Json)> =
+                            s.labels.iter().map(|(k, v)| (k.clone(), text(v))).collect();
+                        pairs.push(("value".into(), value(&s.value)));
+                        Json::Obj(pairs)
+                    })
+                    .collect(),
+            ),
+        };
+        body.push((f.name.clone(), entry));
+    });
+    Json::Obj(body).render()
 }
 
 /// The `GET /live/trace` body: the `n` most recent captured traces

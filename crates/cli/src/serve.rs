@@ -16,7 +16,7 @@
 //! GET  /recommend?user=0&cascade=0.3       → cascaded fast path
 //! GET  /recommend/batch?users=0-63&top=10  → multi-user batch (JSON)
 //! GET  /categories?user=0&level=1          → ranked categories (JSON)
-//! GET  /live/stats                         → live + HTTP serving counters
+//! GET  /live/stats                         → the metrics registry (JSON)
 //! GET  /metrics                            → Prometheus text exposition
 //! GET  /live/trace?n=20                    → recent request traces (JSON)
 //! POST /items          {"parent": 17}      → add an item under a category
@@ -900,33 +900,48 @@ mod tests {
         }
     }
 
+    /// `GET /live/stats`, parsed.
+    fn stats(st: &LiveServer) -> crate::json::Json {
+        let r = get(st, "/live/stats");
+        assert_eq!(r.status, 200);
+        crate::json::parse(&r.body).unwrap_or_else(|e| panic!("{e}: {}", r.body))
+    }
+
+    /// An unlabelled counter or gauge in a `/live/stats` body.
+    fn stat(stats: &crate::json::Json, family: &str) -> u64 {
+        stats
+            .get(family)
+            .and_then(crate::json::Json::as_u64)
+            .unwrap_or_else(|| panic!("no {family} in {}", stats.render()))
+    }
+
     #[test]
     fn live_stats_route_tracks_activity() {
         let st = server();
         let parent = interior_parent(&st);
-        let s0 = get(&st, "/live/stats");
-        assert_eq!(s0.status, 200);
-        assert!(s0.body.contains("\"applied\":0"), "{}", s0.body);
-        assert!(s0.body.contains("\"http\":{"), "{}", s0.body);
+        let s0 = stats(&st);
+        assert_eq!(stat(&s0, "taxrec_live_events_applied_total"), 0);
+        assert!(s0.get("taxrec_http_requests_total").is_some());
         post(&st, "/items", &format!("{{\"parent\": {parent}}}"));
         post(&st, "/users/fold-in", "{\"history\": [[0]], \"steps\": 10}");
-        let s1 = get(&st, "/live/stats");
-        assert!(s1.body.contains("\"applied\":2"), "{}", s1.body);
-        assert!(s1.body.contains("\"items_added\":1"), "{}", s1.body);
-        assert!(s1.body.contains("\"users_folded\":1"), "{}", s1.body);
+        let s1 = stats(&st);
+        assert_eq!(stat(&s1, "taxrec_live_events_applied_total"), 2);
+        assert_eq!(stat(&s1, "taxrec_live_items_added_total"), 1);
+        assert_eq!(stat(&s1, "taxrec_live_users_folded_total"), 1);
         // Publish cost is surfaced, and the COW counters prove the
         // successor models shared storage with their predecessors.
-        assert!(s1.body.contains("\"publish_p50_us\":"), "{}", s1.body);
-        assert!(s1.body.contains("\"publish_p99_us\":"), "{}", s1.body);
-        let stats = st.live().stats().snapshot();
-        assert!(stats.publish_p50_us >= 1, "{stats:?}");
+        let publish = s1.get("taxrec_live_publish_seconds").expect("publish");
+        let p50 = publish.get("p50_us").and_then(crate::json::Json::as_u64);
+        assert!(p50 >= Some(1), "{}", s1.render());
+        assert!(publish.get("p99_us").is_some(), "{}", s1.render());
+        let snap = st.live().stats().snapshot();
+        assert_eq!(p50, Some(snap.publish_p50_us));
+        let shared = stat(&s1, "taxrec_live_model_shared_chunks_total");
+        assert!(shared > 0, "publishes must share chunks: {snap:?}");
+        let copied = stat(&s1, "taxrec_live_model_copied_chunks_total");
         assert!(
-            stats.model_shared_chunks > 0,
-            "publishes must share chunks: {stats:?}"
-        );
-        assert!(
-            stats.model_copied_chunks >= 1 && stats.model_copied_chunks <= 8,
-            "per-event copies must be bounded: {stats:?}"
+            (1..=8).contains(&copied),
+            "per-event copies must be bounded: {snap:?}"
         );
     }
 
@@ -1001,13 +1016,9 @@ mod tests {
             assert!(!after.body.contains(replaced), "{}", after.body);
         }
         // The stats counter distinguishes refolds from first folds.
-        let stats = get(&st, "/live/stats");
-        assert!(stats.body.contains("\"users_folded\":1"), "{}", stats.body);
-        assert!(
-            stats.body.contains("\"users_refolded\":1"),
-            "{}",
-            stats.body
-        );
+        let s = stats(&st);
+        assert_eq!(stat(&s, "taxrec_live_users_folded_total"), 1);
+        assert_eq!(stat(&s, "taxrec_live_users_refolded_total"), 1);
 
         // Refolding a trained or unknown user is a client error.
         for bad in [0u64, user + 50] {
@@ -1020,21 +1031,28 @@ mod tests {
 
     #[test]
     fn live_stats_reports_model_bytes_and_tier() {
-        // Untiered server: model_bytes present, tier explicitly null.
+        // Untiered server: model bytes per table and sharing kind, and
+        // no tier families at all.
         let st = server();
-        let s = get(&st, "/live/stats");
-        assert!(s.body.contains("\"model_bytes\":{\"user\":"), "{}", s.body);
-        assert!(s.body.contains("\"tier\":null"), "{}", s.body);
-        let parsed = crate::json::parse(&s.body).unwrap();
-        let total = parsed
-            .get("model_bytes")
-            .and_then(|m| m.get("total"))
-            .and_then(crate::json::Json::as_u64)
-            .unwrap();
-        assert!(total > 0, "{}", s.body);
+        let s = stats(&st);
+        let Some(crate::json::Json::Arr(bytes)) = s.get("taxrec_model_bytes") else {
+            panic!("no taxrec_model_bytes array: {}", s.render());
+        };
+        assert_eq!(bytes.len(), 6, "{}", s.render());
+        let user_owned = bytes.iter().find(|b| {
+            b.get("table").and_then(crate::json::Json::as_str) == Some("user")
+                && b.get("kind").and_then(crate::json::Json::as_str) == Some("owned")
+        });
+        assert!(user_owned.is_some(), "{}", s.render());
+        let total: u64 = bytes
+            .iter()
+            .filter_map(|b| b.get("value").and_then(crate::json::Json::as_u64))
+            .sum();
+        assert!(total > 0, "{}", s.render());
+        assert!(!s.render().contains("taxrec_tier_"), "{}", s.render());
 
-        // Tiered server: the tier block carries sizes and counters, and
-        // reads past the hot budget show up as faults.
+        // Tiered server: the tier families carry sizes and counters,
+        // and reads past the hot budget show up as faults.
         let st = server_with(LiveConfig {
             user_tier_budget: Some(8),
             ..LiveConfig::default()
@@ -1042,15 +1060,16 @@ mod tests {
         for u in 0..40 {
             assert_eq!(get(&st, &format!("/recommend?user={u}&top=3")).status, 200);
         }
-        let s = get(&st, "/live/stats");
-        let parsed = crate::json::parse(&s.body).unwrap();
-        let tier = parsed.get("tier").expect("tier block");
-        let t = |f: &str| tier.get(f).and_then(crate::json::Json::as_u64).unwrap();
-        assert_eq!(t("budget_rows"), 8, "{}", s.body);
-        assert_eq!(t("total_rows"), 100, "{}", s.body);
-        assert!(t("faults") > 0, "{}", s.body);
-        assert!(s.body.contains("\"hit_rate\":"), "{}", s.body);
-        // The same counters surface as Prometheus families.
+        let s = stats(&st);
+        assert_eq!(stat(&s, "taxrec_tier_budget_rows"), 8);
+        assert_eq!(stat(&s, "taxrec_tier_total_rows"), 100);
+        let faults =
+            stat(&s, "taxrec_tier_cold_reads_total") + stat(&s, "taxrec_tier_refolds_total");
+        assert!(faults > 0, "{}", s.render());
+        // The hit rate is hits / (hits + faults); every read counts once.
+        let reads = stat(&s, "taxrec_tier_hits_total") + faults;
+        assert!(reads >= 40, "{}", s.render());
+        // The same families surface in Prometheus text.
         let metrics = get(&st, "/metrics");
         assert_eq!(metrics.status, 200);
         for family in [

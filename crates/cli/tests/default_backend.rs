@@ -125,7 +125,7 @@ fn default_config_serves_the_exhaustive_bodies_through_a_live_stream() {
         let only_new = body(&served, &format!("/recommend?user={folded}&top=10"));
         assert_eq!(only_new.matches("\"id\":").count(), 6, "{only_new}");
         // Neither server ran the int8 scan.
-        let scans = |s: &LiveServer| s.live().cell().load().quant_pool_stats().scans;
+        let scans = |s: &LiveServer| s.live().cell().load().engine().quant_pool_stats().scans;
         assert_eq!(scans(&served), 0, "S={scan_shards}");
         assert_eq!(scans(&oracle), 0, "S={scan_shards}");
     }

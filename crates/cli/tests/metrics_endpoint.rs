@@ -7,8 +7,11 @@
 //! the bulk of the request span.
 
 use std::collections::HashMap;
+use std::net::TcpListener;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use taxrec_cli::json::{self, Json};
-use taxrec_cli::serve::{route, LiveServer, Response};
+use taxrec_cli::serve::{route, spawn_follow, LiveServer, Response};
 use taxrec_core::live::{LiveConfig, LiveState};
 use taxrec_core::obs::SampleReason;
 use taxrec_core::{untrained_model, Backend, ModelConfig, Obs, QuantizedConfig, TfTrainer};
@@ -321,6 +324,81 @@ fn observed_server_on(scan_shards: usize, backend: Backend) -> LiveServer {
     .unwrap()
 }
 
+/// The JSON value `/live/stats` gives the series of `entry` with
+/// exactly `labels`: the entry itself for an unlabelled family, else
+/// the array element carrying those label pairs (plus `value`).
+fn stats_series<'a>(entry: &'a Json, labels: &[(String, String)]) -> Option<&'a Json> {
+    let Json::Arr(series) = entry else {
+        return labels.is_empty().then_some(entry);
+    };
+    series
+        .iter()
+        .find(|s| {
+            let Json::Obj(pairs) = s else { return false };
+            pairs.len() == labels.len() + 1
+                && labels
+                    .iter()
+                    .all(|(k, v)| s.get(k).and_then(Json::as_str) == Some(v.as_str()))
+        })
+        .and_then(|s| s.get("value"))
+}
+
+/// Assert `/live/stats` and `/metrics` list the same families with the
+/// same numbers: every counter and gauge series equal, every histogram
+/// series' `count` equal to its `_count`, and no family in the JSON
+/// that `/metrics` lacks. Scrapes again until `/metrics` reads the
+/// same on both sides of the `/live/stats` read (the applier may still
+/// be finishing the last publish).
+fn assert_stats_render_the_registry(name: &str, st: &LiveServer) -> Json {
+    const HEADER: &[&str] = &[
+        "version",
+        "uptime_seconds",
+        "role",
+        "leader",
+        "epoch",
+        "base_users",
+        "base_items",
+    ];
+    let (text, stats) = loop {
+        let before = get(st, "/metrics").body;
+        let stats = get(st, "/live/stats");
+        if get(st, "/metrics").body == before {
+            assert_eq!(stats.status, 200, "{name}");
+            break (before, stats.body);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    let families = parse_prometheus(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let parsed = json::parse(&stats).unwrap_or_else(|e| panic!("{name}: {e}: {stats}"));
+    for (family, fam) in &families {
+        let entry = parsed
+            .get(family)
+            .unwrap_or_else(|| panic!("{name}: {family} is in /metrics but not /live/stats"));
+        for s in &fam.samples {
+            let field = match fam.kind.as_str() {
+                "histogram" if s.name.ends_with("_count") => Some("count"),
+                "histogram" => continue,
+                _ => None,
+            };
+            let value = stats_series(entry, &s.labels)
+                .and_then(|v| field.map_or(Some(v), |f| v.get(f)))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("{name}: no {} {:?} in {stats}", s.name, s.labels));
+            assert_eq!(value, s.value, "{name}: {} {:?}", s.name, s.labels);
+        }
+    }
+    let Json::Obj(fields) = &parsed else {
+        panic!("{name}: /live/stats is not an object: {stats}")
+    };
+    for (key, _) in fields {
+        assert!(
+            HEADER.contains(&key.as_str()) || families.contains_key(key),
+            "{name}: /live/stats has {key}, /metrics does not"
+        );
+    }
+    parsed
+}
+
 fn quantized() -> Backend {
     Backend::Quantized(QuantizedConfig::default())
 }
@@ -449,6 +527,115 @@ fn metrics_endpoint_is_valid_prometheus_and_counters_are_monotone() {
             after[advanced]
         );
     }
+}
+
+#[test]
+fn live_stats_renders_the_same_families_as_metrics() {
+    let d = SyntheticDataset::generate(&DatasetConfig::tiny().with_users(100), 3);
+    let model = TfTrainer::new(
+        ModelConfig::tf(4, 1).with_factors(4).with_epochs(2),
+        &d.taxonomy,
+    )
+    .fit(&d.train, 1);
+    let serve = |config: LiveConfig| {
+        let config = LiveConfig {
+            obs: Obs::shared_with_tracing(1.0, 0),
+            ..config
+        };
+        LiveServer::new(LiveState::new(model.clone()), d.train.clone(), None, config).unwrap()
+    };
+    let mut leader = serve(LiveConfig {
+        replicate: true,
+        ..LiveConfig::default()
+    });
+    let repl = leader
+        .start_replication(TcpListener::bind("127.0.0.1:0").unwrap())
+        .unwrap();
+    let mut follower = serve(LiveConfig::default());
+    let follow_stats = follower.set_follower(repl.to_string());
+    let follower = Arc::new(follower);
+    let stop = Arc::new(AtomicBool::new(false));
+    let tail = spawn_follow(Arc::clone(&follower), Arc::clone(&stop));
+    let tiered = serve(LiveConfig {
+        user_tier_budget: Some(8),
+        ..LiveConfig::default()
+    });
+
+    // One write of each kind on the writable servers; walk, cascade
+    // and batch reads on all three.
+    let parent = {
+        let snap = leader.live().cell().load();
+        let tax = snap.model().taxonomy();
+        tax.parent(tax.item_node(ItemId(0))).unwrap().0
+    };
+    for st in [&leader, &tiered] {
+        let add = format!("{{\"parent\": {parent}}}");
+        assert_eq!(route(st, "POST", "/items", add.as_bytes()).status, 200);
+        let fold = br#"{"history": [[1, 2], [3]], "steps": 20, "seed": 7}"#;
+        let r = route(st, "POST", "/users/fold-in", fold);
+        assert_eq!(r.status, 200, "{}", r.body);
+        let user = json::parse(&r.body)
+            .unwrap()
+            .get("user")
+            .and_then(Json::as_u64);
+        let refold = format!(
+            "{{\"user\": {}, \"history\": [[4]], \"steps\": 20, \"seed\": 8}}",
+            user.unwrap()
+        );
+        let r = route(st, "POST", "/users/fold-in", refold.as_bytes());
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while follow_stats.records_applied() < 3 || follow_stats.lag() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "follower never caught up"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    for st in [&leader, &*follower, &tiered] {
+        for path in [
+            "/recommend?user=1&top=5",
+            "/recommend?user=2&top=5&cascade=0.3",
+            "/recommend/batch?users=0-40&top=3",
+        ] {
+            assert_eq!(get(st, path).status, 200, "{path}");
+        }
+    }
+
+    let leader_stats = assert_stats_render_the_registry("leader", &leader);
+    let follower_stats = assert_stats_render_the_registry("follower", &follower);
+    let tiered_stats = assert_stats_render_the_registry("tiered", &tiered);
+    // Every layer's families are present, and each role carries its
+    // own.
+    for family in [
+        "taxrec_walk_requests_total",
+        "taxrec_cascade_requests_total",
+        "taxrec_scan_rows_total",
+        "taxrec_live_apply_seconds",
+        "taxrec_live_arena_recycles_total",
+        "taxrec_live_publish_copied_bytes_total",
+        "taxrec_replication_committed",
+    ] {
+        assert!(leader_stats.get(family).is_some(), "leader: {family}");
+    }
+    let role = |stats: &Json| stats.get("role").and_then(Json::as_str).map(str::to_string);
+    assert_eq!(role(&leader_stats).as_deref(), Some("leader"));
+    assert_eq!(role(&follower_stats).as_deref(), Some("follower"));
+    assert_eq!(
+        follower_stats.get("leader").and_then(Json::as_str),
+        Some(repl.to_string().as_str())
+    );
+    assert_eq!(
+        follower_stats.get("taxrec_replication_lag"),
+        Some(&Json::Num(0.0))
+    );
+    assert!(tiered_stats.get("taxrec_tier_fault_seconds").is_some());
+    assert_eq!(role(&tiered_stats).as_deref(), Some("standalone"));
+
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    drop(leader); // closes the stream, so the follower's read fails
+    tail.join().unwrap();
 }
 
 #[test]

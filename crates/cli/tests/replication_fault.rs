@@ -5,7 +5,7 @@
 //!   current shape, and converges with no record duplicated or skipped;
 //! * a leader that degrades (WAL rotation failure) stops committing new
 //!   offsets — a nacked event is **never** shipped, and `/live/stats`
-//!   reports `"degraded":true`;
+//!   reports `"taxrec_live_degraded":1`;
 //! * a follower whose state diverged from the leader's stream is
 //!   refused at handshake with a structured reason and applies nothing.
 
@@ -268,24 +268,30 @@ fn degraded_leader_never_ships_a_nacked_record() {
     assert_eq!(stats.lag(), 0, "follower converged at the last good offset");
 
     let leader_stats = route(&leader, "GET", "/live/stats", b"").body;
-    assert!(leader_stats.contains("\"degraded\":true"), "{leader_stats}");
+    assert!(
+        leader_stats.contains("\"taxrec_live_degraded\":1"),
+        "{leader_stats}"
+    );
     assert!(
         leader_stats.contains("\"role\":\"leader\""),
         "{leader_stats}"
     );
-    assert!(leader_stats.contains("\"committed\":2"), "{leader_stats}");
+    assert!(
+        leader_stats.contains("\"taxrec_replication_committed\":2"),
+        "{leader_stats}"
+    );
     let follower_stats = route(&follower, "GET", "/live/stats", b"").body;
     assert!(
         follower_stats.contains("\"role\":\"follower\""),
         "{follower_stats}"
     );
     assert!(
-        follower_stats.contains("\"replication_lag\":0"),
+        follower_stats.contains("\"taxrec_replication_lag\":0"),
         "{follower_stats}"
     );
-    // A healthy follower reports degraded:false for its own applier.
+    // A healthy follower reports its own applier as not degraded.
     assert!(
-        follower_stats.contains("\"degraded\":false"),
+        follower_stats.contains("\"taxrec_live_degraded\":0"),
         "{follower_stats}"
     );
 

@@ -183,7 +183,7 @@ fn concurrent_soak_with_wal_rotation_then_restart_recovers_exactly() {
     // snapshot and replay is empty — served state must be identical,
     // byte for byte, to what the unsharded phase-1 server produced.
     let restarted = LiveServer::load(&data, &s(&model_path), config(4)).unwrap();
-    assert_eq!(restarted.live().cell().load().scan_shards(), 4);
+    assert_eq!(restarted.live().cell().load().engine().scan_shards(), 4);
     assert_eq!(
         model_shape(&route(&restarted, "GET", "/model", b"").body),
         live_shape
@@ -238,7 +238,7 @@ fn concurrent_soak_with_wal_rotation_then_restart_recovers_exactly() {
     // server; replaying them into a 1-shard server must reproduce every
     // body byte for byte — the reverse direction of phase 2.
     let recovered = LiveServer::load(&data, &s(&model_path), config(1)).unwrap();
-    assert_eq!(recovered.live().cell().load().scan_shards(), 1);
+    assert_eq!(recovered.live().cell().load().engine().scan_shards(), 1);
     assert_eq!(
         model_shape(&route(&recovered, "GET", "/model", b"").body),
         tail_shape

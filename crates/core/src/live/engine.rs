@@ -147,25 +147,6 @@ impl LiveEngine {
         self.histories.len()
     }
 
-    /// Catalog scan shards every snapshot of this lineage partitions
-    /// the item matrix into (surfaced in `GET /live/stats`).
-    pub fn scan_shards(&self) -> usize {
-        self.engine.scan_shards()
-    }
-
-    /// Name of the active f32 scan kernel (`"scalar"` / `"avx2"`),
-    /// selected once at epoch-0 construction and inherited by every
-    /// successor snapshot (surfaced in `GET /live/stats`).
-    pub fn scan_kernel(&self) -> &'static str {
-        self.engine.scan_kernel().name()
-    }
-
-    /// Lineage-wide quantized first-pass pool counters (zero unless the
-    /// backend is [`Backend::Quantized`]; surfaced in `GET /live/stats`).
-    pub fn quant_pool_stats(&self) -> crate::recommend::QuantPoolStats {
-        self.engine.quant_pool_stats()
-    }
-
     /// History of a folded-in user (`None` for trained users, whose
     /// history lives in the training log).
     pub fn folded_history(&self, user: usize) -> Option<&[Transaction]> {

@@ -61,8 +61,7 @@ pub struct LiveConfig {
     pub scan_shards: usize,
     /// Force the f32 scan kernel instead of auto-detecting it (`None`
     /// = detect; the kernels are bit-identical, so this only changes
-    /// throughput). Surfaced as `scan_kernel` in `/live/stats` and the
-    /// `taxrec_scan_kernel` info metric.
+    /// throughput). Surfaced as the `taxrec_scan_kernel` info metric.
     pub scan_kernel: Option<crate::recommend::F32Kernel>,
     /// Observability bundle: the applier registers its counters and
     /// WAL/publish histograms into `obs.registry()` and traces the

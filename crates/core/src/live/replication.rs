@@ -277,7 +277,7 @@ fn read_reply(r: &mut impl Read) -> io::Result<Result<HandshakeOk, (RejectReason
 }
 
 /// Leader-side replication metrics, registered into the shared
-/// [`MetricsRegistry`] and surfaced through `/live/stats` + `/metrics`.
+/// [`MetricsRegistry`] (rendered by `/metrics` and `/live/stats`).
 #[derive(Debug)]
 pub struct LeaderReplStats {
     committed: Gauge,
@@ -315,14 +315,6 @@ impl LeaderReplStats {
     /// Records committed to the stream since leader start.
     pub fn committed(&self) -> u64 {
         self.committed.get()
-    }
-    /// Follower connections currently streaming.
-    pub fn followers(&self) -> u64 {
-        self.followers.get()
-    }
-    /// Records shipped to followers, summed over all connections.
-    pub fn records_shipped(&self) -> u64 {
-        self.records_shipped.get()
     }
     /// Handshakes refused.
     pub fn handshakes_rejected(&self) -> u64 {

@@ -1,9 +1,9 @@
-//! Counters the applier maintains and `GET /live/stats` serves.
+//! Counters the applier maintains.
 //!
-//! Since the observability rework every counter and latency histogram
-//! here is a handle into the unified [`MetricsRegistry`] — `/live/stats`
-//! and `GET /metrics` read the very same atomics, and quantiles come
-//! from the one [`crate::histogram`] implementation.
+//! Every counter and latency histogram here is a handle into the
+//! unified [`MetricsRegistry`], which `GET /metrics` and `GET
+//! /live/stats` render; quantiles come from the one
+//! [`crate::histogram`] implementation.
 
 use super::state::Applied;
 use crate::obs::{Counter, Gauge, HistogramHandle, MetricsRegistry};
@@ -117,10 +117,6 @@ pub struct LiveStatsSnapshot {
     /// O(change) publish path this stays near the event count while
     /// `model_shared_chunks` grows with catalog × publishes.
     pub model_copied_chunks: u64,
-    /// True once the applier has dropped to read-only degraded mode
-    /// after a WAL append/rotation failure. A degraded leader stops
-    /// acking writes and stops shipping replication records.
-    pub degraded: bool,
     /// Resident factor bytes per table, `(shared, owned)` by chunk
     /// refcount, in `(user, node, next)` order. Updated at publish time.
     pub model_bytes: [(u64, u64); 3],
@@ -301,11 +297,6 @@ impl LiveStats {
         self.degraded.set(1);
     }
 
-    /// True once the applier has dropped to read-only degraded mode.
-    pub fn degraded(&self) -> bool {
-        self.degraded.get() != 0
-    }
-
     /// Events enqueued but not yet applied or rejected (approximate —
     /// the counters are read independently).
     pub fn pending(&self) -> u64 {
@@ -335,7 +326,6 @@ impl LiveStats {
             wal_fsync_p99_us: self.wal_fsync.quantile_us(0.99),
             model_shared_chunks: self.model_shared_chunks.get(),
             model_copied_chunks: self.model_copied_chunks.get(),
-            degraded: self.degraded(),
             model_bytes: [0, 1, 2].map(|i| {
                 let g = &self.model_bytes[i];
                 (g[0].get(), g[1].get())

@@ -4,8 +4,9 @@
 //!
 //! - [`MetricsRegistry`] — named counter/gauge/histogram families with
 //!   static labels. The HTTP layer, the live applier, and the per-shard
-//!   scan kernels all register here, and `GET /metrics` renders the
-//!   whole catalog as Prometheus text exposition.
+//!   scan kernels all register here; `GET /metrics` renders the whole
+//!   catalog as Prometheus text exposition and `GET /live/stats` as
+//!   JSON, both from one walk ([`MetricsRegistry::for_each_family`]).
 //! - [`Tracer`] — request-scoped structured spans for the recommend
 //!   pipeline (per-shard scan → merge → rescore → framing) and the
 //!   write path (validate/apply → WAL append → fsync → publish),
@@ -21,7 +22,10 @@
 pub mod registry;
 pub mod trace;
 
-pub use registry::{Counter, Gauge, HistogramHandle, MetricKind, MetricsRegistry, ScanMetrics};
+pub use registry::{
+    Counter, Family, Gauge, HistogramHandle, MetricKind, MetricsRegistry, ScanMetrics, Series,
+    SeriesValue,
+};
 pub use trace::{SampleReason, SpanRec, TraceBuilder, TraceRecord, Tracer, TRACE_RING_SLOTS};
 
 use std::sync::Arc;

@@ -1,5 +1,7 @@
 //! The unified metrics registry: named counter/gauge/histogram
-//! families with static labels, rendered as Prometheus text exposition.
+//! families with static labels, rendered as Prometheus text exposition
+//! here and as JSON by the server's `/live/stats`, both from one walk
+//! ([`MetricsRegistry::for_each_family`]).
 //!
 //! Same idiom as [`crate::histogram`]: handles are `Arc`-shared
 //! atomics, recording is a relaxed `fetch_add` with no locks on the hot
@@ -135,25 +137,38 @@ impl HistogramHandle {
     }
 }
 
+/// One series' live handle, as [`MetricsRegistry::for_each_family`]
+/// hands it out.
 #[derive(Debug, Clone)]
-enum SeriesValue {
+pub enum SeriesValue {
+    /// A [`MetricKind::Counter`] series.
     Counter(Counter),
+    /// A [`MetricKind::Gauge`] series.
     Gauge(Gauge),
+    /// A [`MetricKind::Histogram`] series.
     Histogram(HistogramHandle),
 }
 
+/// One labelled series of a [`Family`].
 #[derive(Debug)]
-struct Series {
-    labels: Vec<(String, String)>,
-    value: SeriesValue,
+pub struct Series {
+    /// Static label pairs, in registration order (empty when unlabelled).
+    pub labels: Vec<(String, String)>,
+    /// The shared handle the owner records into.
+    pub value: SeriesValue,
 }
 
+/// One named family: its help text, kind and every registered series.
 #[derive(Debug)]
-struct Family {
-    name: String,
-    help: String,
-    kind: MetricKind,
-    series: Vec<Series>,
+pub struct Family {
+    /// Prometheus metric name.
+    pub name: String,
+    /// `# HELP` text.
+    pub help: String,
+    /// What the series measure.
+    pub kind: MetricKind,
+    /// Series in registration order (at least one).
+    pub series: Vec<Series>,
 }
 
 /// The process-wide metric catalog. One instance is shared by the HTTP
@@ -250,14 +265,26 @@ impl MetricsRegistry {
         value
     }
 
+    /// The one read-only walk over the catalog, families in
+    /// registration order. Both renderings of the registry — the
+    /// Prometheus text of `GET /metrics` and the JSON of `GET
+    /// /live/stats` — are built from it, so they list the same series.
+    /// The catalog lock is held for the walk: `f` must not register.
+    pub fn for_each_family(&self, f: impl FnMut(&Family)) {
+        self.families
+            .lock()
+            .expect("registry poisoned")
+            .iter()
+            .for_each(f);
+    }
+
     /// Render the whole catalog as Prometheus text exposition (v0.0.4):
     /// `# HELP` / `# TYPE` comments, then one sample line per series —
     /// histograms expand to cumulative `_bucket{le=...}` lines (bucket
     /// upper bounds in seconds) plus `_sum` and `_count`.
     pub fn render_prometheus(&self) -> String {
-        let families = self.families.lock().expect("registry poisoned");
         let mut out = String::new();
-        for f in families.iter() {
+        self.for_each_family(|f| {
             out.push_str(&format!("# HELP {} {}\n", f.name, escape_help(&f.help)));
             out.push_str(&format!("# TYPE {} {}\n", f.name, f.kind.prom_type()));
             for s in &f.series {
@@ -305,7 +332,7 @@ impl MetricsRegistry {
                     }
                 }
             }
-        }
+        });
         out
     }
 }

@@ -9,7 +9,7 @@
 //! equal score with a smaller id. That total order is what makes the
 //! per-shard merge ([`crate::recommend::shards`]) bit-for-bit identical
 //! to a single catalog-wide heap even when tied scores straddle a shard
-//! boundary; [`Scorer::top_k_items`] follows the same rule.
+//! boundary; [`Scorer::top_k_items`] selects through it too.
 //!
 //! [`score_block_into`] scores one query against a contiguous block of
 //! rows into a dense score buffer, one [`ops::dot`] per row. The

@@ -18,7 +18,6 @@
 
 use crate::model::TfModel;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::ops::Deref;
 use taxrec_dataset::Transaction;
 use taxrec_factors::{ops, CowMatrix};
@@ -236,31 +235,21 @@ impl<M: Deref<Target = TfModel>> Scorer<M> {
     }
 
     /// Exhaustive top-`k` items, best first, skipping `exclude`
-    /// (typically the user's already-purchased items). Selection and
-    /// output follow [`crate::recommend::rank_cmp`] — the one (score
-    /// descending, item id ascending) total order shared with the
-    /// recommend engine's heap and its shard merge.
+    /// (typically the user's already-purchased items). Selection is the
+    /// engine's own [`crate::recommend::TopK`], so the output follows
+    /// [`crate::recommend::rank_cmp`] — the one (score descending, item
+    /// id ascending) total order shared with the shard merge.
     pub fn top_k_items(&self, query: &[f32], k: usize, exclude: &[ItemId]) -> Vec<(ItemId, f32)> {
-        use crate::recommend::{rank_cmp, ranks_before};
-        let tax = self.model.taxonomy();
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-        for i in 0..tax.num_items() {
+        let mut top = crate::recommend::TopK::new();
+        top.reset(k);
+        for i in 0..self.model.taxonomy().num_items() {
             let item = ItemId(i as u32);
-            if exclude.contains(&item) {
-                continue;
-            }
-            let s = self.score_item(query, item);
-            if heap.len() < k {
-                heap.push(HeapEntry(s, item));
-            } else if let Some(min) = heap.peek() {
-                if ranks_before((item, s), (min.1, min.0)) {
-                    heap.pop();
-                    heap.push(HeapEntry(s, item));
-                }
+            if !exclude.contains(&item) {
+                top.offer(item, self.score_item(query, item));
             }
         }
-        let mut out: Vec<(ItemId, f32)> = heap.into_iter().map(|e| (e.1, e.0)).collect();
-        out.sort_by(rank_cmp);
+        let mut out = Vec::new();
+        top.drain_sorted_into(&mut out);
         out
     }
 
@@ -275,34 +264,6 @@ impl<M: Deref<Target = TfModel>> Scorer<M> {
             .collect();
         out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal));
         out
-    }
-}
-
-/// Min-heap entry: `BinaryHeap` is a max-heap, so order is reversed to
-/// keep the *smallest* score at the top for eviction.
-struct HeapEntry(f32, ItemId);
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: smaller score = "greater" for the max-heap, and
-        // among equal scores the larger item id (the candidate the
-        // (score desc, id asc) total order ranks last).
-        other
-            .0
-            .partial_cmp(&self.0)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.1.cmp(&other.1))
     }
 }
 

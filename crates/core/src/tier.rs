@@ -534,7 +534,8 @@ impl UserTier {
         self.stats.hot_rows.set(inner.hot.len() as u64);
     }
 
-    /// Point-in-time counters and tier sizes for `/live/stats`.
+    /// Point-in-time counters and tier sizes (the `recommend` command's
+    /// summary line, tests, benches).
     pub fn stats_snapshot(&self) -> TierStatsSnapshot {
         let (hot_rows, total_rows, budget_rows) = {
             let inner = self.lock();
@@ -544,15 +545,10 @@ impl UserTier {
             budget_rows,
             hot_rows,
             total_rows,
-            cold_rows: self.cold_rows,
             hits: self.stats.hits.get(),
             cold_reads: self.stats.cold_reads.get(),
             refolds: self.stats.refolds.get(),
             evictions: self.stats.evictions.get(),
-            fault_cold_p50_us: self.stats.fault_cold.quantile_us(0.50),
-            fault_cold_p99_us: self.stats.fault_cold.quantile_us(0.99),
-            fault_refold_p50_us: self.stats.fault_refold.quantile_us(0.50),
-            fault_refold_p99_us: self.stats.fault_refold.quantile_us(0.99),
         }
     }
 }
@@ -566,8 +562,6 @@ pub struct TierStatsSnapshot {
     pub hot_rows: usize,
     /// Total rows covered (cold + folded-in since build).
     pub total_rows: usize,
-    /// Rows materialised in the cold file.
-    pub cold_rows: usize,
     /// Reads served from the hot tier.
     pub hits: u64,
     /// Faults served by a cold-file positioned read.
@@ -576,14 +570,6 @@ pub struct TierStatsSnapshot {
     pub refolds: u64,
     /// CLOCK evictions.
     pub evictions: u64,
-    /// p50 cold-read fault latency, µs.
-    pub fault_cold_p50_us: u64,
-    /// p99 cold-read fault latency, µs.
-    pub fault_cold_p99_us: u64,
-    /// p50 refold fault latency, µs.
-    pub fault_refold_p50_us: u64,
-    /// p99 refold fault latency, µs.
-    pub fault_refold_p99_us: u64,
 }
 
 impl TierStatsSnapshot {

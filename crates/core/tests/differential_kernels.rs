@@ -74,7 +74,7 @@ impl Chain {
         );
         if let Some(k) = self.kernel {
             assert_eq!(
-                self.engine.scan_kernel(),
+                self.engine.engine().scan_kernel().name(),
                 k.name(),
                 "{}: forced kernel must survive grown_from",
                 self.label
@@ -224,7 +224,7 @@ fn every_kernel_serves_bit_identical_rankings_through_a_live_stream() {
         if !matches!(chain.backend, Backend::Quantized(_)) {
             continue;
         }
-        let stats = chain.engine.quant_pool_stats();
+        let stats = chain.engine.engine().quant_pool_stats();
         assert!(
             stats.scans > 0,
             "{}: no quantized scans counted",
@@ -265,7 +265,7 @@ fn pools_covering_the_catalog_are_always_proven_sufficient() {
             &quant.engine.engine().recommend_with(&req, &backend),
         );
     }
-    let stats = quant.engine.quant_pool_stats();
+    let stats = quant.engine.engine().quant_pool_stats();
     assert!(stats.scans > 0, "no quantized scans counted");
     assert_eq!(
         stats.insufficient, 0,
@@ -299,7 +299,7 @@ fn starved_quantized_pools_fall_back_to_exact_scans() {
             );
         }
     }
-    let stats = quant.engine.quant_pool_stats();
+    let stats = quant.engine.engine().quant_pool_stats();
     assert!(stats.scans > 0, "no quantized scans counted");
     assert_eq!(
         stats.sufficient + stats.insufficient,

@@ -146,7 +146,11 @@ fn sharded_serving_is_bit_identical_through_a_live_stream() {
         .map(|&s| Chain::new(LiveState::new(model.clone()), s))
         .collect();
     for (chain, &s) in chains.iter_mut().zip(&SHARD_COUNTS) {
-        assert_eq!(chain.engine.scan_shards(), s, "requested shard count");
+        assert_eq!(
+            chain.engine.engine().scan_shards(),
+            s,
+            "requested shard count"
+        );
     }
 
     // The scripted update stream: item adds under two different
@@ -202,7 +206,11 @@ fn sharded_serving_is_bit_identical_through_a_live_stream() {
         // still tiles the grown catalog (checked via verify_consistent
         // in apply) and the shard count never changes.
         for (chain, &s) in chains.iter().zip(&SHARD_COUNTS) {
-            assert_eq!(chain.engine.scan_shards(), s, "shard count drifted");
+            assert_eq!(
+                chain.engine.engine().scan_shards(),
+                s,
+                "shard count drifted"
+            );
         }
     }
 

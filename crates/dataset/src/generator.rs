@@ -227,12 +227,16 @@ pub fn generate_log<R: Rng + ?Sized>(
     // favoured by more users (preferential attachment shape).
     let cat_popularity = ZipfWeights::new(cats.num_cats(), 0.6);
 
+    // Favourites are distinct, so a taxonomy with fewer leaf categories
+    // than `user_favorites` caps the draw (it would never finish).
+    let num_favorites = config.user_favorites.max(1).min(cats.num_cats());
+
     let mut builder = PurchaseLogBuilder::with_capacity(config.num_users);
     let mut favorites: Vec<usize> = Vec::new();
     for _ in 0..config.num_users {
         // Favourite leaf categories for this user.
         favorites.clear();
-        while favorites.len() < config.user_favorites.max(1) {
+        while favorites.len() < num_favorites {
             let c = cat_popularity.sample(rng);
             if !favorites.contains(&c) {
                 favorites.push(c);
@@ -473,6 +477,31 @@ mod tests {
         assert!(d.train.num_transactions() > train_tx_mid);
         d.resplit(0.1);
         assert!(d.train.num_transactions() < train_tx_mid);
+    }
+
+    #[test]
+    fn fewer_leaf_categories_than_favourites_still_generates() {
+        // Two leaf categories, three favourites wanted: the draw of
+        // distinct favourites must stop at two instead of spinning.
+        let config = DatasetConfig {
+            shape: taxrec_taxonomy::TaxonomyShape {
+                level_sizes: vec![2],
+                num_items: 165,
+                ..DatasetConfig::default().shape
+            },
+            ..DatasetConfig::default()
+        };
+        assert!(config.user_favorites > 2);
+        // A hang fails the test at the timeout instead of spinning CI.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let gen = std::thread::spawn(move || {
+            let _ = tx.send(SyntheticDataset::generate(&config, 5).log.num_users());
+        });
+        let users = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("generation hung on a taxonomy with two leaf categories");
+        gen.join().expect("generator thread panicked");
+        assert_eq!(users, DatasetConfig::default().num_users);
     }
 
     #[test]

@@ -196,8 +196,8 @@ impl CowMatrix {
     /// Factor-storage bytes split into `(shared, owned)`: a chunk whose
     /// `Arc` has more than one strong reference is *shared* (another
     /// clone or snapshot also holds it); a uniquely held chunk is
-    /// *owned*. The memory-footprint surface behind `/live/stats`'
-    /// `model_bytes` block and the `taxrec_model_bytes` gauges.
+    /// *owned*. The memory-footprint surface behind the
+    /// `taxrec_model_bytes` gauges.
     pub fn byte_sizes(&self) -> (u64, u64) {
         let mut shared = 0u64;
         let mut owned = 0u64;
