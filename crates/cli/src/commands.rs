@@ -6,10 +6,10 @@ use crate::evalset::{self, EvalOverrides};
 use crate::json::Json;
 use crate::store::DataDir;
 use crate::CliError;
-use taxrec_core::eval::dataset::{evaluate_retrieval_forced, rerank_retrieval};
+use taxrec_core::eval::dataset::{evaluate_retrieval, rerank_retrieval};
 use taxrec_core::{
-    eval::EvalConfig, persist, Backend, CascadeConfig, F32Kernel, ModelConfig, QuantizedConfig,
-    RecommendEngine, RecommendRequest, TfModel, TfTrainer,
+    eval::EvalConfig, persist, Backend, ModelConfig, RecommendEngine, RecommendRequest, TfModel,
+    TfTrainer,
 };
 use taxrec_dataset::{split_log, DatasetConfig, SplitConfig, SyntheticDataset};
 use taxrec_taxonomy::TaxonomyShape;
@@ -194,7 +194,8 @@ pub fn evaluate(args: &CliArgs) -> Result<String, CliError> {
 }
 
 /// The `--dataset` mode of `taxrec evaluate`: run a committed query
-/// file through the real [`RecommendEngine`] and report ranking
+/// file through the real [`RecommendEngine`] (exact queries through the
+/// serving default, `cascade` < 1 through the beam) and report ranking
 /// quality (recall@K / precision@K / MRR / nDCG@K) plus per-query
 /// latency. Supports trace-compare (`--compare cfg.json`, re-ranking
 /// config A's candidates under config B without re-scanning) and
@@ -208,32 +209,16 @@ fn evaluate_dataset(args: &CliArgs) -> Result<String, CliError> {
     let train_log = data.train()?;
     check_model_fits(&model, &train_log)?;
 
-    let kernel = parse_scan_kernel(args)?;
-    let backend_override = match (args.value("backend"), kernel.quantized) {
-        (Some(_), true) => {
-            return Err(CliError::Usage(
-                "--scan-kernel quantized and --backend are exclusive \
-                 (use --backend quantized)"
-                    .into(),
-            ))
-        }
-        (Some(b), false) => Some(b.to_string()),
-        (None, true) => Some("quantized".to_string()),
-        (None, false) => None,
-    };
     let cli = EvalOverrides {
         k: args.opt("k")?,
         candidate_k: args.opt("candidate-k")?,
-        scan_shards: args.opt("scan-shards")?,
-        backend: backend_override,
         cascade: args.opt("cascade")?,
         exclude_history: args.flag("exclude-history").then_some(true),
     };
     let text = std::fs::read_to_string(&dataset_path)?;
     let dataset = evalset::parse_dataset(&text, &cli, &train_log)
         .map_err(|e| CliError::Data(format!("{dataset_path}: {e}")))?;
-    let report = evaluate_retrieval_forced(&model, &dataset, threads, kernel.force)
-        .map_err(CliError::Data)?;
+    let report = evaluate_retrieval(&model, &dataset, threads).map_err(CliError::Data)?;
     let system = model.config().system_name();
 
     if let Some(cfg_path) = args.value("compare") {
@@ -332,10 +317,6 @@ pub fn recommend(args: &CliArgs) -> Result<String, CliError> {
     let top: usize = args.get("top", 10usize)?;
     let cascade_k: f64 = args.get("cascade", 1.0f64)?;
     let threads = args.get("threads", default_threads())?;
-    let scan_shards = args.get("scan-shards", 1usize)?;
-    if scan_shards == 0 {
-        return Err(CliError::Usage("--scan-shards must be at least 1".into()));
-    }
     let train_log = data.train()?;
     check_model_fits(&model, &train_log)?;
 
@@ -347,8 +328,11 @@ pub fn recommend(args: &CliArgs) -> Result<String, CliError> {
     if let Some(budget) = args.opt::<usize>("user-tier-budget")? {
         let cold =
             std::env::temp_dir().join(format!("taxrec-recommend-tier-{}.cold", std::process::id()));
-        model
-            .build_user_tier(&cold, budget, &tier_registry)
+        let built = model.build_user_tier(&cold, budget, &tier_registry);
+        // The tier reads the cold rows through the handle it keeps
+        // open, so the path can go now: no return path leaves it behind.
+        let _ = std::fs::remove_file(&cold);
+        built
             .map_err(|e| CliError::Data(format!("{}: building user tier: {e}", cold.display())))?;
     }
 
@@ -380,27 +364,12 @@ pub fn recommend(args: &CliArgs) -> Result<String, CliError> {
             .unwrap_or_else(|| format!("{i}"))
     };
 
-    let kernel = parse_scan_kernel(args)?;
-    let backend = if cascade_k < 1.0 {
-        if kernel.quantized {
-            return Err(CliError::Usage(
-                "--scan-kernel quantized and --cascade are exclusive".into(),
-            ));
-        }
-        Backend::Cascaded(CascadeConfig::uniform(
-            model.taxonomy().depth(),
-            cascade_k.max(0.01),
-        ))
-    } else {
-        kernel.serving_backend()
-    };
-    // The served ranking is bit-for-bit identical at any shard count
-    // and under any scan kernel; --scan-shards only changes how the
-    // scan is partitioned, --scan-kernel only how each dot is computed.
-    let mut engine = RecommendEngine::with_backend_sharded(&model, backend, scan_shards);
-    if let Some(force) = kernel.force {
-        engine.set_scan_kernel(force);
-    }
+    let backend = Backend::for_cascade(
+        Some(cascade_k),
+        model.taxonomy().depth(),
+        &Backend::default(),
+    );
+    let engine = RecommendEngine::with_backend(&model, backend);
 
     let excludes: Vec<Vec<taxrec_taxonomy::ItemId>> =
         users.iter().map(|&u| train_log.distinct_items(u)).collect();
@@ -423,7 +392,10 @@ pub fn recommend(args: &CliArgs) -> Result<String, CliError> {
         out.push_str(&format!(
             "batch of {} users ({}, kernel {}, {threads} threads): {:.2?} total, {:.0} users/sec\n",
             users.len(),
-            backend_name(engine.backend(), cascade_k),
+            match engine.backend() {
+                Backend::Cascaded(_) => format!("cascaded K={cascade_k}"),
+                _ => "walk".to_string(),
+            },
             engine.scan_kernel().name(),
             elapsed,
             users.len() as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -469,67 +441,6 @@ pub fn recommend(args: &CliArgs) -> Result<String, CliError> {
         }
     }
     Ok(out)
-}
-
-fn backend_name(backend: &Backend, cascade_k: f64) -> String {
-    match backend {
-        Backend::Exhaustive => "exhaustive".to_string(),
-        Backend::Walk => "walk".to_string(),
-        Backend::Cascaded(_) => format!("cascaded K={cascade_k}"),
-        Backend::Quantized(_) => "quantized".to_string(),
-    }
-}
-
-/// Parsed `--scan-kernel {scalar,simd,quantized}`: an f32 kernel to
-/// force on the engine (with the plain f32 scan), or the int8
-/// first-pass backend; with neither, the radius-bound walk serves.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ScanKernelChoice {
-    /// Force this f32 kernel instead of auto-detection (`scalar`/`simd`).
-    pub force: Option<F32Kernel>,
-    /// [`Backend::Quantized`] was asked for by name (`quantized`).
-    pub quantized: bool,
-}
-
-impl ScanKernelChoice {
-    /// The exact backend `serve` and `recommend` use: the radius-bound
-    /// walk when the flag is absent, the int8-first scan for
-    /// `quantized`, and the plain f32 scan with the named kernel for
-    /// `scalar` / `simd`.
-    pub fn serving_backend(&self) -> Backend {
-        if self.force.is_some() {
-            Backend::Exhaustive
-        } else if self.quantized {
-            Backend::Quantized(QuantizedConfig::default())
-        } else {
-            Backend::Walk
-        }
-    }
-}
-
-/// Parse `--scan-kernel`. `scalar` and `simd` select the plain f32
-/// scan with that kernel forced (overriding both CPU detection and
-/// the `TAXREC_SCAN_KERNEL` env var); `quantized` selects the int8
-/// first-pass backend, whose exact rescore uses the detected kernel.
-/// Absent, `serve` and `recommend` use the radius-bound walk.
-pub(crate) fn parse_scan_kernel(args: &CliArgs) -> Result<ScanKernelChoice, CliError> {
-    match args.value("scan-kernel") {
-        None => Ok(ScanKernelChoice::default()),
-        Some("quantized") => Ok(ScanKernelChoice {
-            force: None,
-            quantized: true,
-        }),
-        Some(name) => match F32Kernel::parse(name) {
-            Ok(k) => Ok(ScanKernelChoice {
-                force: Some(k),
-                quantized: false,
-            }),
-            Err(_) => Err(CliError::Usage(format!(
-                "--scan-kernel: unknown kernel '{name}' \
-                 (expected 'scalar', 'simd', or 'quantized')"
-            ))),
-        },
-    }
 }
 
 /// `taxrec inspect` — summarise a model file.
@@ -857,22 +768,8 @@ mod tests {
     }
 
     #[test]
-    fn scan_kernel_flag_selects_the_serving_backend() {
-        use super::parse_scan_kernel;
-        use crate::CliArgs;
-        use taxrec_core::{Backend, QuantizedConfig};
-
-        // What `serve` and `recommend` both build their backend from.
-        let parse = |flags: &str| parse_scan_kernel(&CliArgs::parse(argv(flags)));
-        let backend = |flags: &str| parse(flags).unwrap().serving_backend();
-        let quantized = Backend::Quantized(QuantizedConfig::default());
-        assert_eq!(backend(""), Backend::Walk);
-        assert_eq!(backend("--scan-kernel quantized"), quantized);
-        assert_eq!(backend("--scan-kernel simd"), Backend::Exhaustive);
-        assert_eq!(backend("--scan-kernel scalar"), Backend::Exhaustive);
-        assert!(parse("--scan-kernel int4").is_err());
-
-        let dir = tmpdir("scankernel");
+    fn recommend_serves_the_walk_unless_cascade_is_below_one() {
+        let dir = tmpdir("readpath");
         let data = dir.join("data");
         let model = dir.join("m.tfm");
         run(&argv(&format!(
@@ -892,32 +789,66 @@ mod tests {
                 data.display(),
                 model.display()
             )))
+            .unwrap()
         };
-        // The header names the backend; the per-user blocks below it
-        // are the same bytes under every exact scan.
+        // The header names the read path; the per-user blocks below it
+        // are the same bytes for every cascade of 1 or more.
         let split = |out: String| {
             let (header, blocks) = out.split_once('\n').unwrap();
             (header.to_string(), blocks.to_string())
         };
-        let (header, default_blocks) = split(recommend("").unwrap());
+        let (header, default_blocks) = split(recommend(""));
         assert!(header.contains("(walk, kernel "), "{header}");
-        for (flags, names) in [
-            ("--scan-kernel quantized", "(quantized, kernel "),
-            ("--scan-kernel scalar", "(exhaustive, kernel scalar,"),
-            ("--scan-kernel simd", "(exhaustive, kernel "),
-        ] {
-            let (header, blocks) = split(recommend(flags).unwrap());
-            assert!(header.contains(names), "{flags}: {header}");
+        for flags in ["--cascade 1.0", "--cascade 2"] {
+            let (header, blocks) = split(recommend(flags));
+            assert!(header.contains("(walk, kernel "), "{flags}: {header}");
             assert_eq!(blocks, default_blocks, "{flags} changed the ranking");
         }
-        // --cascade needs no kernel flag, takes an f32 kernel, and only
-        // refuses the int8 scan when that was asked for by name.
-        for flags in ["--cascade 0.3", "--cascade 0.3 --scan-kernel simd"] {
-            let (header, _) = split(recommend(flags).unwrap());
-            assert!(header.contains("(cascaded K=0.3, kernel "), "{header}");
-        }
-        let err = recommend("--cascade 0.3 --scan-kernel quantized").unwrap_err();
-        assert!(err.to_string().contains("exclusive"), "{err}");
+        let (header, _) = split(recommend("--cascade 0.3"));
+        assert!(header.contains("(cascaded K=0.3, kernel "), "{header}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recommend_user_tier_leaves_no_cold_file_behind() {
+        let dir = tmpdir("tiercold");
+        let data = dir.join("data");
+        let model = dir.join("m.tfm");
+        run(&argv(&format!(
+            "generate --out {} --users 80 --items 200 --seed 4",
+            data.display()
+        )))
+        .unwrap();
+        run(&argv(&format!(
+            "train --data {} --model {} --tf 4,1 --factors 4 --epochs 1",
+            data.display(),
+            model.display()
+        )))
+        .unwrap();
+        let recommend = |flags: &str| {
+            run(&argv(&format!(
+                "recommend --data {} --model {} --users 0-15 --top 3 --threads 1 {flags}",
+                data.display(),
+                model.display()
+            )))
+            .unwrap()
+        };
+        let cold =
+            std::env::temp_dir().join(format!("taxrec-recommend-tier-{}.cold", std::process::id()));
+        let tiered = recommend("--user-tier-budget 4");
+        assert!(tiered.contains("user tier: budget 4 rows"), "{tiered}");
+        assert!(!cold.exists(), "{} left behind", cold.display());
+        // Tiering still serves the resident run's rankings.
+        let blocks = |out: &str| {
+            out.split_once('\n')
+                .unwrap()
+                .1
+                .split("user tier:")
+                .next()
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(blocks(&tiered), blocks(&recommend("")));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

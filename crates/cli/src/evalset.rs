@@ -12,19 +12,20 @@
 //! ```json
 //! {
 //!   "name": "baseline",
-//!   "defaults": { "k": 10, "candidate_k": 40, "scan_shards": 1,
-//!                 "backend": "exhaustive", "exclude_history": false },
+//!   "defaults": { "k": 10, "candidate_k": 40, "exclude_history": false },
 //!   "queries": [
 //!     { "id": "q-0", "user": 3, "expected_items": [5, 9],
-//!       "history": [[1, 2], [3]], "k": 20, "backend": "cascaded",
-//!       "cascade": 0.4, "scan_shards": 4 }
+//!       "history": [[1, 2], [3]], "k": 20, "cascade": 0.4 }
 //!   ]
 //! }
 //! ```
 //!
-//! `user` and `expected_items` are required per query; everything else
-//! falls back through the resolution order. A query without `history`
-//! uses the user's training-log history. See
+//! `user` and `expected_items` are required per query; `k`,
+//! `candidate_k`, `cascade` and `exclude_history` fall back through the
+//! resolution order, and any other field is rejected. A `cascade`
+//! below 1 serves the query through the taxonomy beam; the built-in
+//! 1.0 serves it exactly, through the serving default. A query without
+//! `history` uses the user's training-log history. See
 //! `docs/guide/evaluation.md` for the full field reference.
 //!
 //! All report emission goes through [`Json::render`] — paths, query
@@ -32,7 +33,7 @@
 
 use crate::json::{json_str, Json};
 use taxrec_core::eval::dataset::{
-    BackendSpec, CompareReport, QueryOutcome, RetrievalDataset, RetrievalQuery, RetrievalReport,
+    CompareReport, QueryOutcome, RetrievalDataset, RetrievalQuery, RetrievalReport,
     RetrievalSummary,
 };
 use taxrec_dataset::{PurchaseLog, Transaction};
@@ -40,7 +41,14 @@ use taxrec_taxonomy::ItemId;
 
 /// Built-in defaults (the bottom of the resolution order).
 const DEFAULT_K: usize = 10;
-const DEFAULT_CASCADE: f64 = 0.5;
+/// 1.0 keeps every node of every level: the exact read.
+const DEFAULT_CASCADE: f64 = 1.0;
+
+/// The settings a dataset level may carry; a query also carries the
+/// fields of [`QUERY_KEYS`].
+const LEVEL_KEYS: [&str; 4] = ["k", "candidate_k", "cascade", "exclude_history"];
+/// A query's own fields.
+const QUERY_KEYS: [&str; 4] = ["id", "user", "expected_items", "history"];
 
 /// Knobs the CLI can force over every query (top of the resolution
 /// order); `None` = not given on the command line.
@@ -50,12 +58,8 @@ pub struct EvalOverrides {
     pub k: Option<usize>,
     /// `--candidate-k N`
     pub candidate_k: Option<usize>,
-    /// `--scan-shards S`
-    pub scan_shards: Option<usize>,
-    /// `--backend exhaustive|cascaded|quantized|walk`
-    pub backend: Option<String>,
-    /// `--cascade F` (implies the cascaded backend when `< 1.0`, the
-    /// same convention as `taxrec recommend`)
+    /// `--cascade F` (below 1.0 serves every query through the beam,
+    /// 1.0 every query exactly)
     pub cascade: Option<f64>,
     /// `--exclude-history`
     pub exclude_history: Option<bool>,
@@ -66,23 +70,23 @@ pub struct EvalOverrides {
 struct Level {
     k: Option<usize>,
     candidate_k: Option<usize>,
-    scan_shards: Option<usize>,
-    backend: Option<String>,
     cascade: Option<f64>,
     exclude_history: Option<bool>,
 }
 
 impl Level {
-    fn decode(obj: &Json, whence: &str) -> Result<Level, String> {
+    /// Decode one level; `extra` names the other fields `obj` may hold.
+    fn decode(obj: &Json, extra: &[&str], whence: &str) -> Result<Level, String> {
+        if let Json::Obj(fields) = obj {
+            if let Some((key, _)) = fields.iter().find(|(key, _)| {
+                !LEVEL_KEYS.contains(&key.as_str()) && !extra.contains(&key.as_str())
+            }) {
+                return Err(format!("{whence}: unknown field '{key}'"));
+            }
+        }
         Ok(Level {
             k: field_usize(obj, "k", whence)?,
             candidate_k: field_usize(obj, "candidate_k", whence)?,
-            scan_shards: field_usize(obj, "scan_shards", whence)?,
-            backend: match obj.get("backend") {
-                None => None,
-                Some(Json::Str(s)) => Some(s.clone()),
-                Some(_) => return Err(format!("{whence}: 'backend' must be a string")),
-            },
             cascade: match obj.get("cascade") {
                 None => None,
                 Some(Json::Num(n)) if (0.0..=1.0).contains(n) => Some(*n),
@@ -130,7 +134,7 @@ pub fn parse_dataset(
     };
     let defaults = match doc.get("defaults") {
         None => Level::default(),
-        Some(obj @ Json::Obj(_)) => Level::decode(obj, "defaults")?,
+        Some(obj @ Json::Obj(_)) => Level::decode(obj, &[], "defaults")?,
         Some(_) => return Err("'defaults' must be an object".to_string()),
     };
     let raw_queries = doc
@@ -184,7 +188,7 @@ pub fn parse_dataset(
             Some(_) => return Err(format!("{whence}: 'history' must be an array of arrays")),
         };
 
-        let level = Level::decode(rq, &whence)?;
+        let level = Level::decode(rq, &QUERY_KEYS, &whence)?;
         let k = pick(&cli.k, &level.k, &defaults.k, DEFAULT_K);
         let candidate_k = pick(
             &cli.candidate_k,
@@ -192,7 +196,6 @@ pub fn parse_dataset(
             &defaults.candidate_k,
             k * 4,
         );
-        let backend = resolve_backend(cli, &level, &defaults, &whence)?;
         queries.push(RetrievalQuery {
             id,
             user,
@@ -200,13 +203,12 @@ pub fn parse_dataset(
             expected,
             k,
             candidate_k: candidate_k.max(k),
-            scan_shards: pick(
-                &cli.scan_shards,
-                &level.scan_shards,
-                &defaults.scan_shards,
-                1,
+            cascade: pick(
+                &cli.cascade,
+                &level.cascade,
+                &defaults.cascade,
+                DEFAULT_CASCADE,
             ),
-            backend,
             exclude_history: pick(
                 &cli.exclude_history,
                 &level.exclude_history,
@@ -216,40 +218,6 @@ pub fn parse_dataset(
         });
     }
     Ok(RetrievalDataset { name, queries })
-}
-
-/// Backend + cascade fraction through the resolution order. A bare
-/// `--cascade F` with `F < 1.0` selects the cascaded backend (matching
-/// `taxrec recommend`); an explicit `backend` string always wins.
-fn resolve_backend(
-    cli: &EvalOverrides,
-    query: &Level,
-    defaults: &Level,
-    whence: &str,
-) -> Result<BackendSpec, String> {
-    let fraction = pick(
-        &cli.cascade,
-        &query.cascade,
-        &defaults.cascade,
-        DEFAULT_CASCADE,
-    );
-    let name = cli
-        .backend
-        .clone()
-        .or_else(|| matches!(cli.cascade, Some(f) if f < 1.0).then(|| "cascaded".to_string()))
-        .or_else(|| query.backend.clone())
-        .or_else(|| defaults.backend.clone())
-        .unwrap_or_else(|| "exhaustive".to_string());
-    match name.as_str() {
-        "exhaustive" => Ok(BackendSpec::Exhaustive),
-        "cascaded" => Ok(BackendSpec::Cascaded(fraction)),
-        "quantized" => Ok(BackendSpec::Quantized),
-        "walk" => Ok(BackendSpec::Walk),
-        other => Err(format!(
-            "{whence}: unknown backend '{other}' \
-             (expected 'exhaustive', 'cascaded', 'quantized', or 'walk')"
-        )),
-    }
 }
 
 fn decode_items(v: &Json, whence: &str, key: &str) -> Result<Vec<ItemId>, String> {
@@ -586,51 +554,52 @@ mod tests {
     fn resolution_order_cli_query_defaults_builtin() {
         let text = r#"{
             "name": "t",
-            "defaults": {"k": 7, "scan_shards": 2, "exclude_history": true},
+            "defaults": {"k": 7, "cascade": 0.5, "exclude_history": true},
             "queries": [
                 {"user": 0, "expected_items": [1]},
-                {"id": "q-b", "user": 1, "expected_items": [2], "k": 3,
-                 "backend": "cascaded", "cascade": 0.25, "scan_shards": 5}
+                {"id": "q-b", "user": 1, "expected_items": [2], "k": 3, "cascade": 0.25},
+                {"user": 2, "expected_items": [3], "candidate_k": 9, "cascade": 1.0}
             ]
         }"#;
         let t = train();
         let ds = parse_dataset(text, &EvalOverrides::default(), &t).unwrap();
         assert_eq!(ds.name, "t");
         assert_eq!(ds.queries[0].k, 7); // defaults
-        assert_eq!(ds.queries[0].scan_shards, 2);
+        assert_eq!(ds.queries[0].cascade, 0.5);
         assert!(ds.queries[0].exclude_history);
         assert_eq!(ds.queries[0].candidate_k, 28); // builtin 4×k
-        assert_eq!(ds.queries[0].backend, BackendSpec::Exhaustive);
         assert_eq!(ds.queries[1].k, 3); // query override
-        assert_eq!(ds.queries[1].scan_shards, 5);
-        assert_eq!(ds.queries[1].backend, BackendSpec::Cascaded(0.25));
+        assert_eq!(ds.queries[1].cascade, 0.25);
         assert_eq!(ds.queries[1].id, "q-b");
         assert_eq!(ds.queries[0].id, "q-0"); // generated id
+        assert_eq!(ds.queries[2].candidate_k, 9);
+        assert_eq!(ds.queries[2].cascade, 1.0);
 
         // CLI beats everything.
         let cli = EvalOverrides {
             k: Some(4),
-            scan_shards: Some(1),
-            backend: Some("exhaustive".into()),
+            cascade: Some(1.0),
+            exclude_history: Some(false),
             ..Default::default()
         };
         let ds = parse_dataset(text, &cli, &t).unwrap();
-        assert!(ds.queries.iter().all(|q| q.k == 4 && q.scan_shards == 1));
         assert!(ds
             .queries
             .iter()
-            .all(|q| q.backend == BackendSpec::Exhaustive));
+            .all(|q| q.k == 4 && q.cascade == 1.0 && !q.exclude_history));
     }
 
     #[test]
     fn bare_cli_cascade_selects_the_cascaded_backend() {
         let text = r#"{"queries": [{"user": 0, "expected_items": [1]}]}"#;
+        let ds = parse_dataset(text, &EvalOverrides::default(), &train()).unwrap();
+        assert_eq!(ds.queries[0].cascade, DEFAULT_CASCADE);
         let cli = EvalOverrides {
             cascade: Some(0.3),
             ..Default::default()
         };
         let ds = parse_dataset(text, &cli, &train()).unwrap();
-        assert_eq!(ds.queries[0].backend, BackendSpec::Cascaded(0.3));
+        assert_eq!(ds.queries[0].cascade, 0.3);
     }
 
     #[test]
@@ -661,8 +630,12 @@ mod tests {
                 "empty",
             ),
             (
-                r#"{"queries": [{"user": 0, "expected_items": [1], "backend": "turbo"}]}"#,
-                "turbo",
+                r#"{"queries": [{"user": 0, "expected_items": [1], "backend": "cascaded"}]}"#,
+                "unknown field 'backend'",
+            ),
+            (
+                r#"{"defaults": {"scan_shards": 2}, "queries": [{"user": 0, "expected_items": [1]}]}"#,
+                "defaults: unknown field 'scan_shards'",
             ),
             (
                 r#"{"queries": [{"user": 0, "expected_items": [1], "cascade": 7}]}"#,

@@ -11,7 +11,7 @@ use crate::serve::{LiveServer, ReplRole};
 use std::fmt::Write;
 use taxrec_core::live::{LiveEngine, LiveError, UpdateEvent};
 use taxrec_core::obs::SeriesValue;
-use taxrec_core::{Backend, CascadeConfig, RecommendRequest};
+use taxrec_core::{Backend, RecommendRequest};
 use taxrec_dataset::Transaction;
 use taxrec_taxonomy::{ItemId, NodeId};
 
@@ -87,14 +87,12 @@ impl Response {
     }
 }
 
-/// Parse the `cascade` parameter into a backend override; without one
-/// the request serves through the engine's own configured backend
-/// (the radius-bound walk, or the scan `--scan-kernel` named).
+/// Parse the `cascade` parameter and apply the read-path rule
+/// ([`Backend::for_cascade`]): below 1 the taxonomy beam serves; absent,
+/// unparseable or 1 and above, the engine's own configured backend
+/// (the radius-bound walk on a default server).
 fn backend_from(cascade: Option<&str>, depth: usize, default: &Backend) -> Backend {
-    match cascade.and_then(|v| v.parse::<f64>().ok()) {
-        Some(k) if k < 1.0 => Backend::Cascaded(CascadeConfig::uniform(depth, k.max(0.01))),
-        _ => default.clone(),
-    }
+    Backend::for_cascade(cascade.and_then(|v| v.parse().ok()), depth, default)
 }
 
 /// Append one user's recommendations to `out` as a JSON object.

@@ -72,27 +72,25 @@ USAGE:
                    [--deterministic]
   taxrec evaluate  --data DIR --model FILE [--category-level L] [--threads T]
   taxrec evaluate  --data DIR --model FILE --dataset FILE.json [--json]
-                   [--k K] [--candidate-k C] [--scan-shards S] [--threads T]
-                   [--backend exhaustive|cascaded|quantized|walk] [--cascade F]
-                   [--scan-kernel scalar|simd|quantized] [--exclude-history]
+                   [--k K] [--candidate-k C] [--cascade F] [--threads T]
+                   [--exclude-history]
                    [--compare CFG.json] [--write-baseline FILE [--tolerance F]]
                    [--assert-baseline FILE]
   taxrec recommend --data DIR --model FILE (--user U | --users LIST)
                    [--top K] [--cascade F] [--threads T]
-                   [--scan-shards S] [--scan-kernel scalar|simd|quantized]
+                   [--user-tier-budget ROWS]
   taxrec inspect   --model FILE
   taxrec replay    --model FILE --log FILE --out FILE [--lossy] [--json]
   taxrec serve     --data DIR --model FILE [--port 8080]
                    [--workers N] [--queue-depth M]
-                   [--scan-shards S] [--scan-kernel scalar|simd|quantized]
                    [--live-log FILE] [--snapshot FILE] [--snapshot-every N]
                    [--replicate-on HOST:PORT | --follow HOST:PORT]
                    [--user-tier-budget ROWS]
 
 LIST is comma ids and/or inclusive ranges: 0,3,9 or 0-63 or 0-7,32-39.
---scan-kernel picks the exact scan of serve and recommend: absent, the
-radius-bound walk; quantized, the int8-first scan; scalar|simd, the plain
-f32 scan with that kernel. All serve the same ranking, bit for bit.
+One rule picks the read path everywhere (recommend, evaluate, and the
+server's cascade= parameter): a cascade F below 1 serves the taxonomy beam,
+anything else the exact radius-bound walk.
 "
     .to_string()
 }

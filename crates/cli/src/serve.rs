@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! taxrec serve --data data/ --model m.tfm --port 8080
-//!              [--workers N] [--queue-depth M] [--scan-shards S]
-//!              [--scan-kernel scalar|simd|quantized]
+//!              [--workers N] [--queue-depth M]
 //!              [--live-log events.log] [--snapshot snap.tfm] [--snapshot-every 256]
 //!              [--trace-sample 0.01] [--trace-slow-ms 250]
 //!              [--user-tier-budget ROWS]
@@ -13,7 +12,7 @@
 //! GET  /health                             → 200 {"status":"ok"}
 //! GET  /model                              → model summary (JSON)
 //! GET  /recommend?user=0&top=10            → ranked items (JSON)
-//! GET  /recommend?user=0&cascade=0.3       → cascaded fast path
+//! GET  /recommend?user=0&cascade=0.3       → cascaded beam (cascade < 1)
 //! GET  /recommend/batch?users=0-63&top=10  → multi-user batch (JSON)
 //! GET  /categories?user=0&level=1          → ranked categories (JSON)
 //! GET  /live/stats                         → the metrics registry (JSON)
@@ -541,10 +540,6 @@ pub fn serve_on(listener: TcpListener, server: Arc<LiveServer>, opts: ServeOptio
 /// `taxrec serve` command: blocks forever handling requests.
 pub fn serve(args: &CliArgs) -> Result<String, CliError> {
     let data = DataDir::new(args.require("data")?);
-    let scan_shards = args.get("scan-shards", 1usize)?;
-    if scan_shards == 0 {
-        return Err(CliError::Usage("--scan-shards must be at least 1".into()));
-    }
     let trace_sample = args.get("trace-sample", 0.01f64)?;
     if !(0.0..=1.0).contains(&trace_sample) {
         return Err(CliError::Usage(
@@ -561,14 +556,10 @@ pub fn serve(args: &CliArgs) -> Result<String, CliError> {
                 .into(),
         ));
     }
-    let kernel = crate::commands::parse_scan_kernel(args)?;
     let config = LiveConfig {
-        backend: kernel.serving_backend(),
         log_path: args.value("live-log").map(Into::into),
         snapshot_path: args.value("snapshot").map(Into::into),
         snapshot_every: args.get("snapshot-every", 256u64)?,
-        scan_shards,
-        scan_kernel: kernel.force,
         obs: Obs::shared_with_tracing(trace_sample, trace_slow_ms),
         replicate: replicate_on.is_some(),
         user_tier_budget: args.opt("user-tier-budget")?,
@@ -625,7 +616,7 @@ pub fn serve(args: &CliArgs) -> Result<String, CliError> {
     let addr = listener.local_addr()?;
     eprintln!(
         "taxrec serving on http://{addr} \
-         ({workers} workers, queue depth {queue_depth}, {scan_shards} scan shards)"
+         ({workers} workers, queue depth {queue_depth})"
     );
     serve_on(
         listener,

@@ -8,7 +8,7 @@
 //! catalog (so the sharded scan path is what concurrency exercises,
 //! with `verify_consistent` checking the shard layout on every load),
 //! and a second test replays one deterministic script against servers
-//! at `--scan-shards 1` and `--scan-shards 4` and asserts every served
+//! at `scan_shards` 1 and 4 (`LiveConfig`) and asserts every served
 //! body is byte-identical across the two.
 
 use std::net::{TcpListener, TcpStream};
@@ -315,7 +315,7 @@ fn scripted_bodies_identical_across_scan_shards() {
         assert_eq!(s1, s4, "request {i}: status diverged\n{b1}\nvs\n{b4}");
         assert_eq!(
             b1, b4,
-            "request {i}: served body diverged between --scan-shards 1 and 4"
+            "request {i}: served body diverged between scan_shards 1 and 4"
         );
         assert_eq!(*s1, 200, "request {i} failed: {b1}");
     }

@@ -6,7 +6,7 @@
 //!
 //! Extended for ISSUE 4: the soak phase serves from an **unsharded**
 //! catalog while every restart loads the same WAL/snapshot artifacts at
-//! `--scan-shards 4` — so the byte-for-byte body comparisons across
+//! `scan_shards` 4 — so the byte-for-byte body comparisons across
 //! phases double as the proof that sharded and unsharded serving are
 //! identical, including after a WAL-replay restart.
 

@@ -5,19 +5,24 @@
 //! measures *model* quality over a train/test split with score-array
 //! metrics. This module measures **serving** quality: a committed JSON
 //! dataset of queries (user + history + expected item ids, with global
-//! defaults and per-query overrides for `k` / backend / cascade
-//! fraction / scan shards) is pushed through the production
+//! defaults and per-query overrides for `k` / `candidate_k` / cascade
+//! fraction / history exclusion) is pushed through the production
 //! [`RecommendEngine`] and scored with the list metrics of
 //! [`crate::metrics`] — recall@K, precision@K, MRR, nDCG@K — plus
 //! per-query latency quantiles from the shared [`crate::histogram`].
 //!
+//! Each query picks its read path by the rule every serving surface
+//! applies ([`Backend::for_cascade`]): a `cascade` fraction below 1 is
+//! served by the taxonomy beam, anything else by the exact serving
+//! default ([`Backend::default`], the radius-bound walk) — so the gate
+//! measures the path that actually serves.
+//!
 //! Everything downstream of the engine call is deterministic: queries
 //! are evaluated in dataset order (sharded across threads but written
-//! back by index and aggregated in order), candidate lists inherit the
-//! engine's `(score desc, id asc)` total order ([`rank_cmp`]), and the
-//! sharded ≡ unsharded law extends to the whole report — the same
-//! dataset at any `scan_shards` / thread count yields bit-identical
-//! metrics (`crates/cli/tests/eval_harness.rs`).
+//! back by index and aggregated in order) and candidate lists inherit
+//! the engine's `(score desc, id asc)` total order ([`rank_cmp`]), so
+//! the same dataset at any thread count yields bit-identical metrics
+//! (`crates/cli/tests/eval_harness.rs`).
 //!
 //! **Trace compare** ([`rerank_retrieval`]) is the quality gate for
 //! scoring-path changes (SIMD kernels, quantized scans): the candidate
@@ -26,59 +31,15 @@
 //! and the report shows per-query rank deltas and metric deltas.
 
 use crate::histogram::Histogram;
-use crate::inference::CascadeConfig;
 use crate::metrics::{
     ndcg_at_k, precision_at_k, recall_at_k, reciprocal_rank_at_k, MeanAccumulator,
 };
 use crate::model::TfModel;
-use crate::recommend::{rank_cmp, Backend, F32Kernel, RecommendEngine, RecommendRequest};
+use crate::recommend::{rank_cmp, Backend, RecommendEngine, RecommendRequest};
 use crate::scoring::Scorer;
 use std::time::Instant;
 use taxrec_dataset::Transaction;
 use taxrec_taxonomy::ItemId;
-
-/// Which serving backend a query goes through.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BackendSpec {
-    /// Exact blocked scan over the whole catalog.
-    Exhaustive,
-    /// Taxonomy beam with this uniform keep fraction (Sec. 5.1).
-    Cascaded(f64),
-    /// Int8 first-pass scan with exact f32 rescore (default pool
-    /// sizing) — serves the exhaustive ranking bit-for-bit.
-    Quantized,
-    /// Radius-bound walk over the taxonomy — serves the exhaustive
-    /// ranking bit-for-bit.
-    Walk,
-}
-
-impl BackendSpec {
-    /// The [`Backend`] this spec resolves to for `model`.
-    pub fn to_backend(self, model: &TfModel) -> Backend {
-        match self {
-            BackendSpec::Exhaustive => Backend::Exhaustive,
-            BackendSpec::Cascaded(f) => Backend::Cascaded(CascadeConfig::uniform(
-                model.taxonomy().depth(),
-                f.clamp(0.01, 1.0),
-            )),
-            BackendSpec::Quantized => {
-                Backend::Quantized(crate::recommend::QuantizedConfig::default())
-            }
-            BackendSpec::Walk => Backend::Walk,
-        }
-    }
-
-    /// Stable label for reports (`"exhaustive"` / `"cascaded(0.4)"` /
-    /// `"quantized"` / `"walk"`).
-    pub fn label(&self) -> String {
-        match self {
-            BackendSpec::Exhaustive => "exhaustive".to_string(),
-            BackendSpec::Cascaded(f) => format!("cascaded({f})"),
-            BackendSpec::Quantized => "quantized".to_string(),
-            BackendSpec::Walk => "walk".to_string(),
-        }
-    }
-}
 
 /// One fully resolved query: the defaults/overrides cascade (CLI flags,
 /// then per-query fields, then dataset defaults, then built-ins) has
@@ -98,10 +59,10 @@ pub struct RetrievalQuery {
     pub k: usize,
     /// Candidate pool captured for trace compare (`>= k`).
     pub candidate_k: usize,
-    /// Catalog scan shards for this query's engine.
-    pub scan_shards: usize,
-    /// Serving backend.
-    pub backend: BackendSpec,
+    /// Taxonomy-beam keep fraction: below 1 the query is served by the
+    /// cascaded beam, otherwise (1.0, the default) exactly
+    /// ([`Backend::for_cascade`]).
+    pub cascade: f64,
     /// Exclude the history's items from the ranking (the serving
     /// default for repeat-purchase domains).
     pub exclude_history: bool,
@@ -206,68 +167,30 @@ fn validate(model: &TfModel, dataset: &RetrievalDataset) -> Result<(), String> {
                 i.index()
             ));
         }
-        if q.scan_shards == 0 {
-            return Err(format!("query '{}': scan_shards must be at least 1", q.id));
-        }
     }
     Ok(())
 }
 
-/// Evaluate every query of `dataset` against `model` through the real
-/// [`RecommendEngine`], sharding queries across up to `threads` scoped
-/// workers. The report is bit-identical at any thread count and any
-/// `scan_shards` setting (the sharded ≡ unsharded law); only the
-/// latency fields vary run to run.
+/// Evaluate every query of `dataset` against `model` through one
+/// [`RecommendEngine`] on the serving default backend, sharding
+/// queries across up to `threads` scoped workers. Cascaded queries
+/// override the backend per request (`recommend_with`). The report is
+/// bit-identical at any thread count; only the latency fields vary run
+/// to run.
 pub fn evaluate_retrieval(
     model: &TfModel,
     dataset: &RetrievalDataset,
     threads: usize,
 ) -> Result<RetrievalReport, String> {
-    evaluate_retrieval_forced(model, dataset, threads, None)
-}
-
-/// [`evaluate_retrieval`] with the engines' f32 scan kernel forced to
-/// `kernel` instead of auto-detected (`None` = detect). The kernels
-/// are bit-identical, so the report differs only in latency fields —
-/// the property the CLI's kernel test matrix pins.
-pub fn evaluate_retrieval_forced(
-    model: &TfModel,
-    dataset: &RetrievalDataset,
-    threads: usize,
-    kernel: Option<F32Kernel>,
-) -> Result<RetrievalReport, String> {
     validate(model, dataset)?;
-
-    // One engine per distinct shard count; the backend is chosen per
-    // request (`recommend_with`), so backend overrides don't force a
-    // rebuild of scan state.
-    let mut shard_counts: Vec<usize> = dataset.queries.iter().map(|q| q.scan_shards).collect();
-    shard_counts.sort_unstable();
-    shard_counts.dedup();
-    let engines: Vec<(usize, RecommendEngine<&TfModel>)> = shard_counts
-        .iter()
-        .map(|&s| {
-            let mut e = RecommendEngine::with_backend_sharded(model, Backend::Exhaustive, s);
-            if let Some(k) = kernel {
-                e.set_scan_kernel(k);
-            }
-            (s, e)
-        })
-        .collect();
-    let engine_for = |shards: usize| -> &RecommendEngine<&TfModel> {
-        &engines
-            .iter()
-            .find(|(s, _)| *s == shards)
-            .expect("engine built for every distinct shard count")
-            .1
-    };
+    let engine = RecommendEngine::with_backend(model, Backend::default());
 
     let n = dataset.queries.len();
     let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; n];
     let workers = threads.max(1).min(n.max(1));
     let chunk = n.div_ceil(workers.max(1)).max(1);
     std::thread::scope(|scope| {
-        let engine_for = &engine_for;
+        let engine = &engine;
         for (qs, outs) in dataset
             .queries
             .chunks(chunk)
@@ -275,7 +198,7 @@ pub fn evaluate_retrieval_forced(
         {
             scope.spawn(move || {
                 for (q, slot) in qs.iter().zip(outs.iter_mut()) {
-                    *slot = Some(evaluate_query(engine_for(q.scan_shards), q));
+                    *slot = Some(evaluate_query(engine, q));
                 }
             });
         }
@@ -313,7 +236,11 @@ fn evaluate_query(engine: &RecommendEngine<&TfModel>, q: &RetrievalQuery) -> Que
         k: q.candidate_k.max(q.k),
         exclude: &exclude,
     };
-    let backend = q.backend.to_backend(engine.model());
+    let backend = Backend::for_cascade(
+        Some(q.cascade),
+        engine.model().taxonomy().depth(),
+        engine.backend(),
+    );
     let t0 = Instant::now();
     let candidates = engine.recommend_with(&request, &backend);
     let latency_us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
@@ -535,8 +462,7 @@ mod tests {
             expected,
             k: 5,
             candidate_k: 20,
-            scan_shards: 1,
-            backend: BackendSpec::Exhaustive,
+            cascade: 1.0,
             exclude_history: false,
         }
     }
@@ -570,26 +496,19 @@ mod tests {
     }
 
     #[test]
-    fn report_is_identical_across_threads_and_shards() {
+    fn report_is_identical_across_threads() {
         let (_, m) = setup();
-        let mk = |shards: usize| {
-            let queries: Vec<RetrievalQuery> = (0..8)
-                .map(|u| {
-                    let mut q = query(&format!("q{u}"), u, vec![ItemId(u as u32), ItemId(40)]);
-                    q.scan_shards = shards;
-                    q
-                })
-                .collect();
-            RetrievalDataset {
-                name: "t".into(),
-                queries,
-            }
+        let ds = RetrievalDataset {
+            name: "t".into(),
+            queries: (0..8)
+                .map(|u| query(&format!("q{u}"), u, vec![ItemId(u as u32), ItemId(40)]))
+                .collect(),
         };
-        let base = evaluate_retrieval(&m, &mk(1), 1).unwrap();
-        for (shards, threads) in [(1usize, 4usize), (4, 1), (4, 4), (3, 2)] {
-            let r = evaluate_retrieval(&m, &mk(shards), threads).unwrap();
+        let base = evaluate_retrieval(&m, &ds, 1).unwrap();
+        for threads in [2usize, 3, 4, 8] {
+            let r = evaluate_retrieval(&m, &ds, threads).unwrap();
             for (a, b) in base.outcomes.iter().zip(&r.outcomes) {
-                assert_eq!(a.recall, b.recall, "shards={shards} threads={threads}");
+                assert_eq!(a.recall, b.recall, "threads={threads}");
                 assert_eq!(a.ndcg, b.ndcg);
                 assert_eq!(a.expected_ranks, b.expected_ranks);
                 assert_eq!(a.candidates.len(), b.candidates.len());
@@ -599,6 +518,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn exact_queries_serve_the_oracle_and_cascaded_queries_their_own_fraction() {
+        use crate::inference::CascadeConfig;
+
+        let (d, m) = setup();
+        let depth = m.taxonomy().depth();
+        // Users 0..8 with their training histories; every other query
+        // excludes its history, and users 5..8 ask for the beam at
+        // their own keep fraction.
+        let fractions = [1.0, 1.0, 1.0, 1.0, 1.0, 0.05, 0.3, 0.6];
+        let ds = RetrievalDataset {
+            name: "paths".into(),
+            queries: fractions
+                .iter()
+                .enumerate()
+                .map(|(u, &cascade)| {
+                    let mut q = query(&format!("q{u}"), u, vec![ItemId(u as u32)]);
+                    q.history = d.train.user(u).to_vec();
+                    q.exclude_history = u % 2 == 1;
+                    q.cascade = cascade;
+                    q
+                })
+                .collect(),
+        };
+        assert!(ds
+            .queries
+            .iter()
+            .any(|q| q.exclude_history && !q.history.is_empty() && q.cascade == 1.0));
+        let report = evaluate_retrieval(&m, &ds, 2).unwrap();
+
+        let oracle = RecommendEngine::new(&m);
+        let mut beam_differs = false;
+        for (q, o) in ds.queries.iter().zip(&report.outcomes) {
+            let mut exclude: Vec<ItemId> = if q.exclude_history {
+                q.history.iter().flatten().copied().collect()
+            } else {
+                Vec::new()
+            };
+            exclude.sort_unstable();
+            exclude.dedup();
+            exclude.retain(|i| !q.expected.contains(i));
+            let req = RecommendRequest {
+                user: q.user,
+                history: &q.history,
+                k: q.candidate_k,
+                exclude: &exclude,
+            };
+            let exact = oracle.recommend(&req);
+            let want = if q.cascade < 1.0 {
+                let beam = Backend::Cascaded(CascadeConfig::uniform(depth, q.cascade));
+                let served = oracle.recommend_with(&req, &beam);
+                beam_differs |= served != exact;
+                served
+            } else {
+                exact
+            };
+            assert_eq!(o.candidates.len(), want.len(), "{}", q.id);
+            for ((ia, sa), (ib, sb)) in o.candidates.iter().zip(&want) {
+                assert_eq!(ia, ib, "{}", q.id);
+                assert_eq!(sa.to_bits(), sb.to_bits(), "{}", q.id);
+            }
+        }
+        // The fractions are live: some beam served a different list
+        // than the exact ranking, so ignoring them would fail above.
+        assert!(beam_differs);
     }
 
     #[test]
@@ -696,19 +682,19 @@ mod tests {
     fn cascaded_backend_runs_and_can_only_shrink_recall() {
         let (_, m) = setup();
         let engine = RecommendEngine::new(&m);
-        let mk = |backend: BackendSpec| RetrievalDataset {
+        let mk = |cascade: f64| RetrievalDataset {
             name: "casc".into(),
             queries: (0..8)
                 .map(|u| {
                     let top = engine.recommend(&RecommendRequest::simple(u, 5));
                     let mut q = query(&format!("q{u}"), u, top.iter().map(|r| r.0).collect());
-                    q.backend = backend;
+                    q.cascade = cascade;
                     q
                 })
                 .collect(),
         };
-        let exact = evaluate_retrieval(&m, &mk(BackendSpec::Exhaustive), 1).unwrap();
-        let pruned = evaluate_retrieval(&m, &mk(BackendSpec::Cascaded(0.05)), 1).unwrap();
+        let exact = evaluate_retrieval(&m, &mk(1.0), 1).unwrap();
+        let pruned = evaluate_retrieval(&m, &mk(0.05), 1).unwrap();
         assert_eq!(exact.summary.recall, Some(1.0));
         assert!(pruned.summary.recall.unwrap() <= 1.0);
     }

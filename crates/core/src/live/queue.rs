@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
     /// Inference backend every published snapshot serves with. The
-    /// default is the exact radius-bound walk ([`Backend::Walk`]): the
+    /// default ([`Backend::default`]) is the exact radius-bound walk: the
     /// same ranking as [`Backend::Exhaustive`], bit for bit, from a few
     /// hundred row reads instead of one per catalog item.
     pub backend: Backend,
@@ -59,10 +59,6 @@ pub struct LiveConfig {
     /// matrix into (1 = unsharded). The served ranking is bit-for-bit
     /// identical at any value; see `crate::recommend::shards`.
     pub scan_shards: usize,
-    /// Force the f32 scan kernel instead of auto-detecting it (`None`
-    /// = detect; the kernels are bit-identical, so this only changes
-    /// throughput). Surfaced as the `taxrec_scan_kernel` info metric.
-    pub scan_kernel: Option<crate::recommend::F32Kernel>,
     /// Observability bundle: the applier registers its counters and
     /// WAL/publish histograms into `obs.registry()` and traces the
     /// write path through `obs.tracer()`. The default bundle has
@@ -92,13 +88,12 @@ pub struct LiveConfig {
 impl Default for LiveConfig {
     fn default() -> LiveConfig {
         LiveConfig {
-            backend: Backend::Walk,
+            backend: Backend::default(),
             batch_cap: 64,
             snapshot_every: 0,
             log_path: None,
             snapshot_path: None,
             scan_shards: 1,
-            scan_kernel: None,
             obs: Arc::new(Obs::new()),
             replicate: false,
             user_tier_budget: None,
@@ -193,7 +188,7 @@ impl LiveHandle {
             &state,
             config.backend.clone(),
             config.scan_shards,
-            config.scan_kernel,
+            None,
             config.obs.registry(),
         )));
         let stats = Arc::new(LiveStats::new(config.obs.registry()));

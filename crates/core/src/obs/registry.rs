@@ -549,16 +549,6 @@ impl ScanMetrics {
         self.walk_categories_visited.add(categories_visited);
     }
 
-    /// Quantized first-pass scans recorded.
-    pub fn quant_scans(&self) -> u64 {
-        self.quant_scans.get()
-    }
-
-    /// Quantized scans that fell back to the exact f32 path.
-    pub fn quant_insufficient(&self) -> u64 {
-        self.quant_insufficient.get()
-    }
-
     /// Record one shard scan. Out-of-range indices (an engine rebuilt
     /// with a different layout than the metrics were registered for)
     /// are ignored rather than miscounted.
@@ -568,11 +558,6 @@ impl ScanMetrics {
             s.blocks.add(blocks);
             s.busy_us.add(took.as_micros().min(u64::MAX as u128) as u64);
         }
-    }
-
-    /// Shard count the counters were registered for.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Total rows scanned across all shards (tests, reporting).

@@ -72,7 +72,7 @@ pub enum Backend {
     /// ([`crate::recommend`] module docs): scores only the item rows
     /// whose bound can still reach the top-K — about 150 of 32 000 on a
     /// K = 64 catalog — and always serves the exhaustive ranking. The
-    /// default of live serving ([`crate::live::LiveConfig`]).
+    /// exact serving default ([`Backend::default`]).
     Walk,
     /// Beam through the taxonomy with the given per-level keep
     /// fractions (approximate; Sec. 5.1). Keep fractions of 1.0
@@ -85,6 +85,29 @@ pub enum Backend {
     /// [`RecommendEngine::quant_pool_stats`] counting scans whose
     /// rescore count stayed within the configured budget.
     Quantized(QuantizedConfig),
+}
+
+impl Default for Backend {
+    /// The one exact serving path: the radius-bound walk. Live serving
+    /// ([`crate::live::LiveConfig`]), `taxrec recommend` and the
+    /// retrieval eval harness all serve exact reads through it.
+    fn default() -> Backend {
+        Backend::Walk
+    }
+}
+
+impl Backend {
+    /// The read-path rule of every surface (the HTTP `cascade=`
+    /// parameter, `taxrec recommend --cascade`, the eval harness's
+    /// `cascade` field): a keep fraction below 1 selects the taxonomy
+    /// beam over `depth` levels (floored at 0.01); anything else — no
+    /// fraction, 1 or more, NaN — serves through `exact`.
+    pub fn for_cascade(cascade: Option<f64>, depth: usize, exact: &Backend) -> Backend {
+        match cascade {
+            Some(f) if f < 1.0 => Backend::Cascaded(CascadeConfig::uniform(depth, f.max(0.01))),
+            _ => exact.clone(),
+        }
+    }
 }
 
 /// One user's slot in a batch.
@@ -388,7 +411,7 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         self.kernel
     }
 
-    /// Override the scan kernel (tests, `--scan-kernel`). Results are
+    /// Override the scan kernel (tests, forced-kernel chains). Results are
     /// bit-identical under every kernel; only throughput changes.
     pub fn set_scan_kernel(&mut self, kernel: F32Kernel) {
         self.kernel = kernel;
@@ -1049,6 +1072,25 @@ mod tests {
         assert_eq!(rescore_budget(&cfg, 10, 16_000), 1_000);
         // A pool that already covers the shard is never shrunk.
         assert_eq!(rescore_budget(&cfg, 16_000, 16_000), 64_000);
+    }
+
+    #[test]
+    fn cascade_below_one_is_the_only_way_off_the_exact_path() {
+        let exact = Backend::default();
+        assert_eq!(exact, Backend::Walk);
+        for cascade in [None, Some(1.0), Some(2.0), Some(f64::NAN)] {
+            assert_eq!(
+                Backend::for_cascade(cascade, 3, &exact),
+                exact,
+                "{cascade:?}"
+            );
+        }
+        for (cascade, kept) in [(0.3, 0.3), (0.0, 0.01), (-1.0, 0.01)] {
+            assert_eq!(
+                Backend::for_cascade(Some(cascade), 3, &exact),
+                Backend::Cascaded(CascadeConfig::uniform(3, kept))
+            );
+        }
     }
 
     #[test]
