@@ -8,6 +8,8 @@ use std::collections::BTreeMap;
 pub struct CliArgs {
     flags: Vec<String>,
     values: BTreeMap<String, String>,
+    /// Words without a `--`: no command takes any.
+    positional: Vec<String>,
 }
 
 impl CliArgs {
@@ -25,10 +27,29 @@ impl CliArgs {
                     _ => out.flags.push(name.to_string()),
                 }
             } else {
-                out.flags.push(a);
+                out.positional.push(a);
             }
         }
         out
+    }
+
+    /// Refuse any flag outside `known` (the flags `command` reads) and
+    /// any positional word, naming the first one.
+    pub fn only(&self, command: &str, known: &[&str]) -> Result<(), CliError> {
+        if let Some(word) = self.positional.first() {
+            return Err(CliError::Usage(format!(
+                "{command}: unexpected argument '{word}'"
+            )));
+        }
+        match self
+            .flags
+            .iter()
+            .chain(self.values.keys())
+            .find(|f| !known.contains(&f.as_str()))
+        {
+            Some(flag) => Err(CliError::Usage(format!("{command}: unknown flag --{flag}"))),
+            None => Ok(()),
+        }
     }
 
     /// `--name` present without a value.
@@ -121,6 +142,22 @@ mod tests {
         assert_eq!(a.require("out").unwrap(), "d");
         assert!(a.flag("verbose"));
         assert!(a.require("model").is_err());
+    }
+
+    #[test]
+    fn only_known_flags_pass() {
+        let known = ["out", "verbose"];
+        assert!(parse("--out d --verbose").only("cmd", &known).is_ok());
+        assert!(parse("").only("cmd", &known).is_ok());
+        let err = parse("--out d --outt e").only("cmd", &known).unwrap_err();
+        assert!(err.to_string().contains("unknown flag --outt"), "{err}");
+        let err = parse("--verbos").only("cmd", &known).unwrap_err();
+        assert!(err.to_string().contains("unknown flag --verbos"), "{err}");
+        let err = parse("--out d stray").only("cmd", &known).unwrap_err();
+        assert!(
+            err.to_string().contains("unexpected argument 'stray'"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -44,19 +44,85 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Ok(usage());
     };
+    type Command = fn(&CliArgs) -> Result<String, CliError>;
+    // Each command with every flag it reads: anything else is refused,
+    // so a typo cannot silently fall back to a default.
+    let (command, flags): (Command, &[&str]) = match cmd.as_str() {
+        "generate" => (commands::generate, &["out", "users", "items", "seed", "mu"]),
+        "import" => (commands::import, &["input", "out", "mu", "seed"]),
+        "train" => (
+            commands::train,
+            &[
+                "data",
+                "model",
+                "tf",
+                "mf",
+                "factors",
+                "epochs",
+                "threads",
+                "seed",
+                "cache-th",
+                "deterministic",
+            ],
+        ),
+        "evaluate" => (
+            commands::evaluate,
+            &[
+                "data",
+                "model",
+                "threads",
+                "category-level",
+                "json",
+                "dataset",
+                "k",
+                "candidate-k",
+                "cascade",
+                "exclude-history",
+                "compare",
+                "write-baseline",
+                "tolerance",
+                "assert-baseline",
+            ],
+        ),
+        "recommend" => (
+            commands::recommend,
+            &[
+                "data",
+                "model",
+                "user",
+                "users",
+                "top",
+                "cascade",
+                "threads",
+                "user-tier-budget",
+            ],
+        ),
+        "inspect" => (commands::inspect, &["model"]),
+        "replay" => (commands::replay, &["model", "log", "out", "lossy", "json"]),
+        "serve" => (
+            serve::serve,
+            &[
+                "data",
+                "model",
+                "port",
+                "workers",
+                "queue-depth",
+                "live-log",
+                "snapshot",
+                "snapshot-every",
+                "replicate-on",
+                "follow",
+                "user-tier-budget",
+                "trace-sample",
+                "trace-slow-ms",
+            ],
+        ),
+        "help" | "--help" | "-h" => return Ok(usage()),
+        other => return Err(CliError::Usage(format!("unknown command '{other}'"))),
+    };
     let args = CliArgs::parse(rest.iter().cloned());
-    match cmd.as_str() {
-        "generate" => commands::generate(&args),
-        "import" => commands::import(&args),
-        "train" => commands::train(&args),
-        "evaluate" => commands::evaluate(&args),
-        "recommend" => commands::recommend(&args),
-        "inspect" => commands::inspect(&args),
-        "replay" => commands::replay(&args),
-        "serve" => serve::serve(&args),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(CliError::Usage(format!("unknown command '{other}'"))),
-    }
+    args.only(cmd, flags)?;
+    command(&args)
 }
 
 /// Top-level usage text.
@@ -139,6 +205,37 @@ mod tests {
         let err = run(&["frobnicate".into()]).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         assert!(err.to_string().contains("frobnicate"));
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        let refused = |argv: &str, named: &str| {
+            let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+            let err = run(&argv).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{argv:?}: {err}");
+            assert!(err.to_string().contains(named), "{argv:?}: {err}");
+        };
+        // A typo'd --cascade would otherwise serve the exact walk.
+        refused(
+            "recommend --data d --model m --user 0 --cascde 0.3",
+            "--cascde",
+        );
+        refused(
+            "recommend --data d --model m --scan-kernel simd",
+            "--scan-kernel",
+        );
+        refused("serve --data d --model m --scan-shards 2", "--scan-shards");
+        refused("evaluate --data d --model m --backend walk", "--backend");
+        refused("inspect --model m --verbose", "--verbose");
+        refused("generate --out d extra", "'extra'");
+        // A known flag gets as far as the command itself.
+        let err = run(&[
+            "inspect".into(),
+            "--model".into(),
+            "/nonexistent/m.tfm".into(),
+        ])
+        .unwrap_err();
+        assert!(!err.to_string().contains("unknown"), "{err}");
     }
 
     #[test]

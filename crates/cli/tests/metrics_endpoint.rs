@@ -740,17 +740,22 @@ fn cascade_counters_move_only_on_cascaded_reads() {
         .len() as f64;
     assert!(kept >= 5.0 && kept <= 5.0 + bought, "kept {kept}");
 
-    // A beam that prunes nothing scores every leaf plus the levels
-    // above them; one count per user of a batch.
+    // A beam that keeps every node serves the exact ranking, yet its
+    // bottom level scores only the rows whose radius bound can still
+    // reach the top: under the catalog per user. One count per user of
+    // a batch.
+    let wide = get(&st, "/recommend/batch?users=0-3&top=5&cascade=0.9999");
+    assert_eq!(wide.status, 200);
     assert_eq!(
-        get(&st, "/recommend/batch?users=0-3&top=5&cascade=0.9999").status,
-        200
+        wide.body,
+        get(&st, "/recommend/batch?users=0-3&top=5").body,
+        "a beam keeping every node is the exhaustive list"
     );
     let [requests, wide, _] = scrape(&st);
     assert_eq!(requests, 5.0);
     assert!(
-        wide - scored >= 4.0 * catalog,
-        "full beams scored {} nodes over {catalog} items",
+        wide - scored > 0.0 && wide - scored < 4.0 * catalog,
+        "full beams scored {} rows over 4 × {catalog} items",
         wide - scored
     );
 }

@@ -12,12 +12,24 @@
 //! the figure binaries, every level's ranking collected) and the
 //! recommend engine's `Backend::Cascaded` (a `Beam` in the per-worker
 //! scratch, bounded to the `k + |exclude|` leaves a request can use).
-//! A walk costs one gather-dot per scored node plus, per level, a
-//! selection of the kept candidates and a sort of those only —
-//! `O(n + keep·log keep)` instead of a full sort — and allocates
-//! nothing once its buffers have grown.
+//! Above the bottom level a walk costs one gather-dot per frontier node
+//! plus a selection of the kept candidates and a sort of those only —
+//! `O(n + keep·log keep)` instead of a full sort.
+//!
+//! The bottom level — nearly all of a beam's rows — is one bounded-heap
+//! pass over the kept parents in rank order. The engine lends it the
+//! radius bounds of its walk index (`recommend/walk.rs`): each parent's
+//! items come largest radius first, and a list ends as soon as the heap
+//! is full and its worst score is **strictly** greater than the next
+//! item's bound, so only rows that could still enter (or tie into) the
+//! kept set are read — about 90 of the ~2 300 under the kept
+//! categories at `cascade=0.3` on an 8 000-item catalog — and the
+//! ranking is bit-identical to scoring them all. [`cascade`] has no
+//! index and runs the same pass with an infinite bound. A walk
+//! allocates nothing once its buffers have grown.
 
 use crate::model::TfModel;
+use crate::recommend::{F32Kernel, TopK, WalkIndex};
 use crate::scoring::Scorer;
 use std::cmp::Ordering;
 use taxrec_taxonomy::{ItemId, NodeId, Taxonomy};
@@ -106,8 +118,13 @@ fn beam_cmp(a: &Cand, b: &Cand) -> Ordering {
 /// walk allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Beam {
-    frontier: Vec<u32>,
+    /// The kept nodes with children of the level above, best first;
+    /// each `pos` is the frontier position of its first child.
+    parents: Vec<Cand>,
     scored: Vec<Cand>,
+    /// The bottom level's selection, keyed by frontier position.
+    bottom: TopK,
+    drained: Vec<(ItemId, f32)>,
     /// Kept childless nodes — the walk's result, best first.
     leaves: Vec<Cand>,
 }
@@ -117,16 +134,20 @@ impl Beam {
     /// Afterwards `self.leaves` holds the best `leaf_limit` kept leaves,
     /// best first; returns the number of nodes scored.
     ///
-    /// Per level the frontier is scored, the best `keep` candidates
-    /// under [`beam_cmp`] are selected (`min(keep, leaf_limit)` on the
-    /// bottom level, whose nodes are only ever results) and only those
-    /// are sorted. A kept node without children is an item wherever it
-    /// sits: it joins the results instead of being expanded, and
-    /// results from several levels merge under (score desc, level asc,
-    /// position asc).
+    /// Per level the frontier (the children of the kept parents, in
+    /// parent rank order) is scored, the best `keep` candidates under
+    /// [`beam_cmp`] are selected and only those are sorted. The bottom
+    /// level, whose nodes are only ever results, keeps
+    /// `min(keep, leaf_limit)` through [`bottom`](Self::bottom). A kept
+    /// node without children is an item wherever it sits: it joins the
+    /// results instead of being expanded, and results from several
+    /// levels merge under (score desc, level asc, position asc).
+    #[allow(clippy::too_many_arguments)]
     fn walk<M: std::ops::Deref<Target = TfModel>>(
         &mut self,
         scorer: &Scorer<M>,
+        kernel: F32Kernel,
+        index: Option<&WalkIndex>,
         query: &[f32],
         config: &CascadeConfig,
         leaf_limit: usize,
@@ -139,19 +160,16 @@ impl Beam {
         let mut mixed_levels = false;
         self.leaves.clear();
 
-        // Frontier starts at level 1 (children of the root).
-        self.frontier.clear();
-        self.frontier.extend_from_slice(tax.children(NodeId::ROOT));
+        // Level 1 is the children of the root. The root itself is never
+        // scored: an infinite score leaves its children unbounded.
+        self.parents.clear();
+        self.parents.push(Cand {
+            score: f32::INFINITY,
+            pos: 0,
+            node: NodeId::ROOT.0,
+        });
+        let mut frontier_len = tax.children(NodeId::ROOT).len();
         for level in 1..=depth {
-            self.scored.clear();
-            self.scored
-                .extend(self.frontier.iter().enumerate().map(|(pos, &node)| Cand {
-                    score: scorer.score_node(query, NodeId(node)),
-                    pos: pos as u32,
-                    node,
-                }));
-            scored_nodes += self.scored.len();
-
             let fraction = config.fraction(level);
             let level_size = tax.nodes_at_level(level).len().max(1);
             // At least one node while the fraction is positive — but an
@@ -159,19 +177,29 @@ impl Beam {
             // keeps nothing.
             let keep = ((fraction * level_size as f64).ceil() as usize)
                 .max(usize::from(fraction > 0.0))
-                .min(self.scored.len());
-            let limit = if level == depth {
-                keep.min(leaf_limit)
+                .min(frontier_len);
+            if level == depth {
+                scored_nodes += self.bottom(scorer, kernel, index, query, keep.min(leaf_limit));
             } else {
-                keep
-            };
-            if limit < self.scored.len() {
-                if limit > 0 {
-                    self.scored.select_nth_unstable_by(limit - 1, beam_cmp);
+                self.scored.clear();
+                for parent in &self.parents {
+                    let children = tax.children(NodeId(parent.node));
+                    self.scored
+                        .extend(children.iter().enumerate().map(|(j, &node)| Cand {
+                            score: kernel.dot(query, scorer.node_factor(NodeId(node))),
+                            pos: parent.pos + j as u32,
+                            node,
+                        }));
                 }
-                self.scored.truncate(limit);
+                scored_nodes += self.scored.len();
+                if keep < self.scored.len() {
+                    if keep > 0 {
+                        self.scored.select_nth_unstable_by(keep - 1, beam_cmp);
+                    }
+                    self.scored.truncate(keep);
+                }
+                self.scored.sort_unstable_by(beam_cmp);
             }
-            self.scored.sort_unstable_by(beam_cmp);
             if let Some(per_level) = per_level.as_deref_mut() {
                 per_level.push(
                     self.scored
@@ -181,14 +209,19 @@ impl Beam {
                 );
             }
 
-            self.frontier.clear();
+            self.parents.clear();
+            frontier_len = 0;
             let leaves_before = self.leaves.len();
             for cand in &self.scored {
                 let children = tax.children(NodeId(cand.node));
                 if children.is_empty() {
                     self.leaves.push(*cand);
                 } else {
-                    self.frontier.extend_from_slice(children);
+                    self.parents.push(Cand {
+                        pos: frontier_len as u32,
+                        ..*cand
+                    });
+                    frontier_len += children.len();
                 }
             }
             mixed_levels |= leaves_before > 0 && self.leaves.len() > leaves_before;
@@ -204,6 +237,66 @@ impl Beam {
         scored_nodes
     }
 
+    /// The bottom level: the best `limit` children of `self.parents`
+    /// under [`beam_cmp`] into `self.scored`, best first. Returns the
+    /// rows scored.
+    ///
+    /// One bounded heap keyed by frontier position takes the children
+    /// parent by parent, in rank order. With a walk `index` each
+    /// parent's items come in radius lists, and a list ends once the
+    /// heap is full and its worst score is strictly greater than the
+    /// next item's bound: no later item of that list can enter, nor tie
+    /// in on a smaller position. Offers arrive out of position order,
+    /// so every one goes through the heap's full tie-break. Without an
+    /// index every child is offered.
+    fn bottom<M: std::ops::Deref<Target = TfModel>>(
+        &mut self,
+        scorer: &Scorer<M>,
+        kernel: F32Kernel,
+        index: Option<&WalkIndex>,
+        query: &[f32],
+        limit: usize,
+    ) -> usize {
+        let tax = scorer.model().taxonomy();
+        let bounds = index.map(|index| index.item_bounds(query));
+        let score = |node: u32| kernel.dot(query, scorer.node_factor(NodeId(node)));
+        let heap = &mut self.bottom;
+        heap.reset(limit);
+        let mut rows = 0usize;
+        for parent in &self.parents {
+            let children = tax.children(NodeId(parent.node));
+            match &bounds {
+                Some(bounds) => {
+                    for run in bounds.runs(NodeId(parent.node), parent.score) {
+                        let run = run.map(|(item, bound)| {
+                            let j = children
+                                .binary_search(&tax.item_node(item).0)
+                                .expect("an indexed item is a child of its category");
+                            (j, bound)
+                        });
+                        rows += offer_run(heap, run, children, parent.pos, score);
+                    }
+                }
+                None => {
+                    let run = (0..children.len()).map(|j| (j, f64::INFINITY));
+                    rows += offer_run(heap, run, children, parent.pos, score);
+                }
+            }
+        }
+        heap.drain_sorted_into(&mut self.drained);
+        self.scored.clear();
+        self.scored.extend(self.drained.iter().map(|&(key, score)| {
+            let at = self.parents.partition_point(|p| p.pos <= key.0) - 1;
+            let parent = &self.parents[at];
+            Cand {
+                score,
+                pos: key.0,
+                node: tax.children(NodeId(parent.node))[(key.0 - parent.pos) as usize],
+            }
+        }));
+        rows
+    }
+
     /// The walk's result as `(item, score)` pairs, best first.
     fn items<'a>(&'a self, tax: &'a Taxonomy) -> impl Iterator<Item = (ItemId, f32)> + 'a {
         self.leaves
@@ -215,9 +308,12 @@ impl Beam {
     /// ascending). At most `|exclude|` of the best `k + |exclude|`
     /// leaves can be filtered, so the walk never ranks more than that.
     /// Returns `(nodes scored, leaves ranked)`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn top_items_into<M: std::ops::Deref<Target = TfModel>>(
         &mut self,
         scorer: &Scorer<M>,
+        kernel: F32Kernel,
+        index: Option<&WalkIndex>,
         query: &[f32],
         config: &CascadeConfig,
         k: usize,
@@ -225,7 +321,7 @@ impl Beam {
         out: &mut Vec<(ItemId, f32)>,
     ) -> (usize, usize) {
         let leaf_limit = k.saturating_add(exclude.len());
-        let scored_nodes = self.walk(scorer, query, config, leaf_limit, None);
+        let scored_nodes = self.walk(scorer, kernel, index, query, config, leaf_limit, None);
         out.clear();
         out.extend(
             self.items(scorer.model().taxonomy())
@@ -234,6 +330,29 @@ impl Beam {
         );
         (scored_nodes, self.leaves.len())
     }
+}
+
+/// Offer `children[j]` for each `(j, bound)` of `run` to `heap`, keyed
+/// by frontier position `first + j`, until the heap is full and its
+/// worst score is strictly greater than the next `bound` (the
+/// threshold is −∞ while the heap has room, +∞ when it keeps nothing).
+/// Returns the rows scored.
+fn offer_run(
+    heap: &mut TopK,
+    run: impl Iterator<Item = (usize, f64)>,
+    children: &[u32],
+    first: u32,
+    score: impl Fn(u32) -> f32,
+) -> usize {
+    let mut rows = 0;
+    for (j, bound) in run {
+        if f64::from(heap.threshold()) > bound {
+            break;
+        }
+        heap.offer(ItemId(first + j as u32), score(children[j]));
+        rows += 1;
+    }
+    rows
 }
 
 /// Run cascaded inference for a prepared query vector.
@@ -249,7 +368,15 @@ pub fn cascade<M: std::ops::Deref<Target = TfModel>>(
     let tax = scorer.model().taxonomy();
     let mut beam = Beam::default();
     let mut per_level = Vec::with_capacity(tax.depth());
-    let scored_nodes = beam.walk(scorer, query, config, usize::MAX, Some(&mut per_level));
+    let scored_nodes = beam.walk(
+        scorer,
+        F32Kernel::detect(),
+        None,
+        query,
+        config,
+        usize::MAX,
+        Some(&mut per_level),
+    );
     CascadeResult {
         items: beam.items(tax).collect(),
         per_level,
@@ -510,19 +637,138 @@ mod tests {
             ] {
                 let s = Scorer::new(m);
                 let q = s.query(round, &[]);
-                let (mut got, mut want) = (vec![(ItemId(9), 9.0)], Vec::new());
-                let counts = reused.top_items_into(&s, &q, &cfg, k, exclude, &mut got);
-                let fresh = Beam::default().top_items_into(&s, &q, &cfg, k, exclude, &mut want);
-                assert_eq!(got, want, "round {round} {cfg:?}");
-                assert_eq!(counts, fresh, "round {round} {cfg:?}");
-                // And the ranked prefix of the unbounded walk.
+                // The ranked prefix of the unbounded walk.
                 let full: Vec<(ItemId, f32)> = cascade(&s, &q, &cfg)
                     .items
                     .into_iter()
                     .filter(|(i, _)| !exclude.contains(i))
                     .take(k)
                     .collect();
-                assert_eq!(got, full, "round {round} {cfg:?}");
+                let index = WalkIndex::build(&s);
+                let kernel = F32Kernel::detect();
+                for index in [Some(&index), None] {
+                    let (mut got, mut want) = (vec![(ItemId(9), 9.0)], Vec::new());
+                    let counts =
+                        reused.top_items_into(&s, kernel, index, &q, &cfg, k, exclude, &mut got);
+                    let fresh = Beam::default()
+                        .top_items_into(&s, kernel, index, &q, &cfg, k, exclude, &mut want);
+                    assert_eq!(got, want, "round {round} {cfg:?}");
+                    assert_eq!(counts, fresh, "round {round} {cfg:?}");
+                    assert_eq!(got, full, "round {round} {cfg:?}");
+                }
+            }
+        }
+    }
+
+    /// The engine's pruned bottom level against [`cascade`] (every child
+    /// scored) on bounds that are tight: item offsets parallel to the
+    /// query make each item's bound its exact score in real arithmetic,
+    /// and hundreds of items share one f32 score, met largest id first.
+    /// Live adds with offsets of their own fill the added lists out of
+    /// id order. Without the rounding pad a list ends while a tied item
+    /// with a smaller position is unseen.
+    #[test]
+    fn pruned_bottom_level_equals_the_full_one_on_tight_bounds() {
+        use crate::recommend::{Backend, RecommendEngine, RecommendRequest};
+        use rand::Rng;
+        let k_dim = 8;
+        let mut b = TaxonomyBuilder::new();
+        let cats = b.add_children(NodeId::ROOT, 4).unwrap();
+        for &c in &cats {
+            b.add_children(c, 300).unwrap();
+        }
+        let tax = Arc::new(b.freeze());
+        let mut rng = StdRng::seed_from_u64(5);
+        for trial in 0..4 {
+            let mut model = TfModel::init(
+                ModelConfig::tf(2, 0)
+                    .with_factors(k_dim)
+                    .with_node_init_sigma(1.0),
+                Arc::clone(&tax),
+                0,
+                trial,
+            );
+            let dir: Vec<f32> = (0..k_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let offset = |model: &mut TfModel, node: usize, alpha: f32| {
+                for (x, &u) in model.node_factors.row_mut(node).iter_mut().zip(&dir) {
+                    *x = alpha * u;
+                }
+            };
+            for &c in &cats {
+                // Category rows far larger than the offsets below them,
+                // so score rounding dwarfs the radius rounding.
+                for x in model.node_factors.row_mut(c.index()) {
+                    *x *= 8.0;
+                }
+                for (j, &leaf) in tax.children(c).iter().enumerate() {
+                    offset(&mut model, leaf as usize, 0.01 + j as f32 * 1e-7);
+                }
+            }
+            let users: Vec<usize> = [1.0f32, 3.0, -2.0]
+                .iter()
+                .map(|&beta| model.push_user(&dir.iter().map(|&u| beta * u).collect::<Vec<_>>()))
+                .collect();
+            let mut engine = RecommendEngine::new(Arc::new(model.clone()));
+            for step in 0..=40 {
+                if step % 20 == 0 {
+                    let n = model.num_items() as u32;
+                    let evens: Vec<ItemId> = (0..n).step_by(2).map(ItemId).collect();
+                    for f in [0.3, 0.6, 1.0] {
+                        let cfg = CascadeConfig::uniform(2, f);
+                        let backend = Backend::Cascaded(cfg.clone());
+                        for &user in &users {
+                            let q = engine.scorer().query(user, &[]);
+                            let full = cascade(engine.scorer(), &q, &cfg).items;
+                            for exclude in [&[][..], &evens[..]] {
+                                for k in [1, 10, 50, 400] {
+                                    let want: Vec<(ItemId, u32)> = full
+                                        .iter()
+                                        .filter(|(i, _)| exclude.binary_search(i).is_err())
+                                        .take(k)
+                                        .map(|&(i, s)| (i, s.to_bits()))
+                                        .collect();
+                                    let req = RecommendRequest {
+                                        user,
+                                        history: &[],
+                                        k,
+                                        exclude,
+                                    };
+                                    let got: Vec<(ItemId, u32)> = engine
+                                        .recommend_with(&req, &backend)
+                                        .iter()
+                                        .map(|&(i, s)| (i, s.to_bits()))
+                                        .collect();
+                                    assert_eq!(
+                                        got,
+                                        want,
+                                        "trial {trial} step {step} f {f} user {user} k {k} \
+                                         |exclude| {}",
+                                        exclude.len()
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+                if step < 40 {
+                    // Alternately parallel offsets that tie into the run
+                    // above and random ones that raise the radius.
+                    let c = cats[step % cats.len()];
+                    let item = model.add_item_mut(c).unwrap();
+                    let node = model.taxonomy().item_node(item).index();
+                    if step % 2 == 0 {
+                        offset(&mut model, node, 0.01 + rng.gen_range(0..300) as f32 * 1e-7);
+                    } else {
+                        for x in model.node_factors.row_mut(node) {
+                            *x = rng.gen_range(-0.05..0.05);
+                        }
+                    }
+                    engine = RecommendEngine::grown_from(
+                        &engine,
+                        Arc::new(model.clone()),
+                        Backend::Exhaustive,
+                    );
+                }
             }
         }
     }
@@ -533,15 +779,19 @@ mod tests {
             let s = Scorer::new(&m);
             let q = s.query(0, &[]);
             let cfg = CascadeConfig::uniform(m.taxonomy().depth(), 0.5);
+            let index = WalkIndex::build(&s);
+            let kernel = F32Kernel::detect();
             let mut beam = Beam::default();
             let mut out = vec![(ItemId(1), 1.0)];
-            let (scored, kept) = beam.top_items_into(&s, &q, &cfg, 0, &[], &mut out);
+            let (scored, kept) =
+                beam.top_items_into(&s, kernel, Some(&index), &q, &cfg, 0, &[], &mut out);
             assert!(out.is_empty());
             assert!(scored > 0);
             assert_eq!(kept, 0);
             // k = 0 with exclusions still ranks |exclude| leaves and
             // returns none of them.
-            beam.top_items_into(&s, &q, &cfg, 0, &[ItemId(2), ItemId(5)], &mut out);
+            let exclude = [ItemId(2), ItemId(5)];
+            beam.top_items_into(&s, kernel, Some(&index), &q, &cfg, 0, &exclude, &mut out);
             assert!(out.is_empty());
             // A zero fraction keeps nothing at any level.
             let none = cascade(&s, &q, &CascadeConfig::uniform(m.taxonomy().depth(), 0.0));

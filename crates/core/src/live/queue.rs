@@ -175,13 +175,21 @@ impl LiveHandle {
                 Some(p) => p.clone(),
                 None => default_cold_path(&config),
             };
-            let tier = crate::tier::UserTier::build(
+            let built = crate::tier::UserTier::build(
                 &cold,
                 &state.model().user_factors,
                 budget,
                 config.obs.registry(),
-            )
-            .map_err(|e| LiveError::Io(format!("{}: building user tier: {e}", cold.display())))?;
+            );
+            // A temp-dir cold file belongs to nobody once this process
+            // exits: unlink it now, the tier reads through its open
+            // handle.
+            if config.tier_cold_path.is_none() && config.log_path.is_none() {
+                let _ = std::fs::remove_file(&cold);
+            }
+            let tier = built.map_err(|e| {
+                LiveError::Io(format!("{}: building user tier: {e}", cold.display()))
+            })?;
             state.attach_user_tier(tier);
         }
         let cell = Arc::new(ModelCell::new(LiveEngine::initial_observed(
@@ -289,7 +297,8 @@ impl Drop for LiveHandle {
 /// Cold-file path when [`LiveConfig::tier_cold_path`] is unset: beside
 /// the WAL when one is configured (so the operator's data dir holds
 /// everything), otherwise a temp file unique per process *and* per
-/// spawn — the file is a rebuildable cache, never recovered from.
+/// spawn, unlinked as soon as the tier holds it open — the file is a
+/// rebuildable cache, never recovered from.
 fn default_cold_path(config: &LiveConfig) -> PathBuf {
     if let Some(log) = &config.log_path {
         return log.with_extension("cold");

@@ -76,7 +76,9 @@ pub enum Backend {
     Walk,
     /// Beam through the taxonomy with the given per-level keep
     /// fractions (approximate; Sec. 5.1). Keep fractions of 1.0
-    /// reproduce the exhaustive ranking.
+    /// reproduce the exhaustive ranking. The beam's bottom level is cut
+    /// by the walk index's radius bounds, with the ranking of scoring
+    /// every item under the kept categories.
     Cascaded(CascadeConfig),
     /// Int8-quantized branch-and-bound scan: approximate int8 scores
     /// prune the catalog and only rows still competing within the
@@ -256,8 +258,9 @@ pub struct RecommendEngine<M: Deref<Target = TfModel>> {
     /// int8 shadow of items `[first_s, first_{s+1})`.
     shards: Vec<CatalogShard>,
     backend: Backend,
-    /// Radius bounds and per-category item lists of [`Backend::Walk`];
-    /// grown, not rebuilt, by [`grown_from`](Self::grown_from).
+    /// Radius bounds and per-category item lists of [`Backend::Walk`]
+    /// and of the cascaded beam's bottom level; grown, not rebuilt, by
+    /// [`grown_from`](Self::grown_from).
     walk: WalkIndex,
     /// The f32 dot-product kernel every scan dispatches through,
     /// selected once at construction ([`F32Kernel::select`]) and
@@ -658,6 +661,8 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
                 let t_cascade = trace.as_ref().map(|t| t.clock());
                 let (scored_nodes, kept_leaves) = scratch.beam.top_items_into(
                     &self.scorer,
+                    self.kernel,
+                    Some(&self.walk),
                     &scratch.query,
                     cfg,
                     req.k,

@@ -79,6 +79,10 @@
 //! * **walk ≡ exhaustive** — bit-identical scores, ids, and order on
 //!   tie-heavy, shallow-leaf, tight-bound and live-grown models
 //!   (`tests/differential_walk.rs`).
+//!
+//! [`Backend::Cascaded`] borrows the same bounds for the beam's bottom
+//! level (`inference.rs`) and still serves what the full-sort beam
+//! serves, bit for bit (`tests/differential_cascade.rs`).
 
 pub mod batch;
 mod engine;
@@ -90,3 +94,4 @@ mod walk;
 pub use engine::{Backend, QuantPoolStats, QuantizedConfig, RecommendEngine, RecommendRequest};
 pub use kernel::{F32Kernel, QuantQuery, SCAN_KERNEL_ENV};
 pub use topk::{rank_cmp, ranks_before, score_block_into, TopK, SCORE_BLOCK};
+pub(crate) use walk::WalkIndex;

@@ -28,6 +28,11 @@
 //! Every bound is padded for f32 rounding ([`Pad`]), which makes the
 //! served ranking bit-identical to `Backend::Exhaustive`.
 //!
+//! The cascaded beam (`inference.rs`) borrows the same bounds for its
+//! bottom level ([`WalkIndex::item_bounds`]): there a kept category's
+//! score is already computed, and each of its lists ends as soon as the
+//! beam's heap is full and strictly beats the next item's bound.
+//!
 //! Rows are read only through [`Scorer::node_factor`]: the index holds
 //! radii and item ids, never a second copy of a factor row. The build
 //! lists never change; the added lists sit behind `Arc`s, so
@@ -98,6 +103,9 @@ struct Shape {
     /// Every category in node-id order: parents precede children.
     cats: Vec<Category>,
     child_slots: Vec<u32>,
+    /// The slot of each category by node id, `u32::MAX` for an item;
+    /// ends at the last category (nodes added later are all items).
+    slot_of: Vec<u32>,
     /// Every category's items at build time with their `r_i`, one run
     /// per category, each largest radius first, then ascending id.
     base: Vec<(ItemId, f32)>,
@@ -116,7 +124,7 @@ const ADDED_GROUP: usize = 32;
 /// item in `O(depth)` plus a copy of the items added to its category
 /// before it.
 #[derive(Debug, Clone)]
-pub(super) struct WalkIndex {
+pub(crate) struct WalkIndex {
     shape: Arc<Shape>,
     /// `R_c` per category slot, chained up from the children:
     /// `max(max r_i, max_d (‖e_d − e_c‖ + R_d))`, rounded up. Shared
@@ -143,7 +151,7 @@ enum Kind {
 
 impl WalkIndex {
     /// Index every category of `scorer`'s model.
-    pub(super) fn build<M: Deref<Target = TfModel>>(scorer: &Scorer<M>) -> WalkIndex {
+    pub(crate) fn build<M: Deref<Target = TfModel>>(scorer: &Scorer<M>) -> WalkIndex {
         let tax = scorer.model().taxonomy();
         let mut slot_of = vec![u32::MAX; tax.num_nodes()];
         let mut cats = Vec::with_capacity(tax.num_interior());
@@ -198,16 +206,28 @@ impl WalkIndex {
                 .map(|&d| chain(cats[d as usize].up, radius[d as usize]))
                 .fold(own, f32::max);
         }
+        let last_category = cats.last().map_or(0, |c| c.node as usize + 1);
+        slot_of.truncate(last_category);
+        slot_of.shrink_to_fit();
         let groups = cats.len().div_ceil(ADDED_GROUP);
         let empty = Arc::new(vec![Added::default(); ADDED_GROUP]);
         WalkIndex {
             shape: Arc::new(Shape {
                 cats,
                 child_slots,
+                slot_of,
                 base,
             }),
             radius: Arc::new(radius),
             added: vec![empty; groups],
+        }
+    }
+
+    /// The slot of category `node`.
+    fn slot(&self, node: NodeId) -> usize {
+        match self.shape.slot_of.get(node.index()) {
+            Some(&slot) if slot != u32::MAX => slot as usize,
+            _ => panic!("{node} is not a category of this index"),
         }
     }
 
@@ -243,11 +263,7 @@ impl WalkIndex {
             let item = ItemId(i as u32);
             let node = tax.item_node(item);
             let parent = tax.parent(node).expect("an item is never the root");
-            let slot = next
-                .shape
-                .cats
-                .binary_search_by_key(&parent.0, |c| c.node)
-                .expect("an item's parent is a category");
+            let slot = next.slot(parent);
             let r = distance(scorer.node_factor(node), scorer.node_factor(parent));
             let group = Arc::make_mut(&mut next.added[slot / ADDED_GROUP]);
             let list = Arc::make_mut(&mut group[slot % ADDED_GROUP]);
@@ -257,6 +273,15 @@ impl WalkIndex {
             next.raise(slot, r);
         }
         next
+    }
+
+    /// The bounds of this index for one query, as the cascaded beam's
+    /// bottom level reads them.
+    pub(crate) fn item_bounds(&self, query: &[f32]) -> ItemBounds<'_> {
+        ItemBounds {
+            index: self,
+            pad: Pad::new(query),
+        }
     }
 
     /// Raise `R` of `slot` to at least `r`, then re-chain its ancestors
@@ -371,6 +396,33 @@ impl WalkIndex {
     }
 }
 
+/// A [`WalkIndex`] primed with one query's rounding [`Pad`].
+pub(crate) struct ItemBounds<'a> {
+    index: &'a WalkIndex,
+    pad: Pad,
+}
+
+impl ItemBounds<'_> {
+    /// The items directly under category `node`, whose computed score
+    /// is `dot`: its build-time list, then its added list, each as
+    /// `(item, bound)` pairs where `bound` is at least the item's
+    /// computed score and never rises along the list.
+    pub(crate) fn runs(
+        &self,
+        node: NodeId,
+        dot: f32,
+    ) -> impl Iterator<Item = impl Iterator<Item = (ItemId, f64)> + '_> + '_ {
+        let slot = self.index.slot(node);
+        let norm = self.index.shape.cats[slot].norm;
+        [Kind::Base, Kind::Added].into_iter().map(move |kind| {
+            self.index
+                .list(slot, kind)
+                .iter()
+                .map(move |&(item, r)| (item, self.pad.bound(dot, norm, r)))
+        })
+    }
+}
+
 /// `R` of a parent through a child `up` away whose own radius is `r`.
 fn chain(up: f32, r: f32) -> f32 {
     round_up(f64::from(up) + f64::from(r))
@@ -477,6 +529,7 @@ impl Pad {
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::inference::{cascade, CascadeConfig};
     use crate::recommend::{Backend, RecommendEngine, RecommendRequest};
     use crate::TfTrainer;
     use proptest::prelude::*;
@@ -725,6 +778,10 @@ mod tests {
         b.freeze()
     }
 
+    // Random trees (shallow items, depth 1 included), factors and
+    // offset adds: the walk serves the exhaustive ranking, and the
+    // cascaded beam cut by the same bounds serves what it serves
+    // scoring every child.
     proptest! {
         #[test]
         fn walk_equals_exhaustive_on_random_trees_and_factors(
@@ -770,11 +827,26 @@ mod tests {
             exclude.sort_unstable();
             exclude.dedup();
             let history: Vec<Transaction> = vec![vec![ItemId(0)], vec![ItemId(n - 1), ItemId(n / 2)]];
+            let depth = model.taxonomy().depth();
             for user in 0..model.num_users() {
                 let req = RecommendRequest { user, history: &history, k, exclude: &exclude };
                 let want = engine.recommend_with(&req, &Backend::Exhaustive);
                 let got = engine.recommend_with(&req, &Backend::Walk);
                 prop_assert_eq!(bits(&got), bits(&want), "user {} k {}", user, k);
+                // The beam's bottom level, cut by these bounds, against
+                // the beam scoring every child.
+                let query = engine.scorer().query(user, &history);
+                for f in [0.3, 1.0] {
+                    let cfg = CascadeConfig::uniform(depth, f);
+                    let want: Vec<(ItemId, f32)> = cascade(engine.scorer(), &query, &cfg)
+                        .items
+                        .into_iter()
+                        .filter(|(i, _)| exclude.binary_search(i).is_err())
+                        .take(k)
+                        .collect();
+                    let got = engine.recommend_with(&req, &Backend::Cascaded(cfg));
+                    prop_assert_eq!(bits(&got), bits(&want), "cascade {} user {} k {}", f, user, k);
+                }
             }
         }
     }

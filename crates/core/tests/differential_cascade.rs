@@ -1,20 +1,29 @@
-//! Differential test of the cascaded beam walk (ISSUE 24): the
-//! function `inference::cascade` replaced is kept here verbatim as
+//! Differential test of the cascaded beam walk: the original
+//! full-sort `inference::cascade` is kept here verbatim as
 //! [`cascade_reference`] — the role `Backend::Exhaustive` plays for the
-//! blocked scans — and every result the new walk produces must equal
-//! it **bit for bit**: `per_level`, `items`, `scored_nodes`, and the
+//! blocked scans — and every result the beam produces must equal it
+//! **bit for bit**: `per_level`, `items`, `scored_nodes`, and the
 //! engine's `Backend::Cascaded` top-`k` against
-//! `reference.items.filter(exclude).take(k)`.
+//! `reference.items.filter(exclude).take(k)`, single and batched at 1
+//! and 3 threads. The engine's beam cuts its bottom level with the
+//! radius bounds of its walk index, so that comparison is the pruned
+//! pass against scoring every child.
 //!
 //! The models are built to tie: node offsets start at zero, training is
 //! one short epoch over a sparse log (items never bought score exactly
 //! what their untrained siblings score), `U` is drawn below the tree
 //! depth on some models (every upper-level node then scores exactly 0)
 //! and the live stream adds runs of items under one category (a new
-//! item scores what its parent scores). An unstable selection that
-//! forgets the frontier position, a leaf cut that forgets the exclude
-//! list, or a leaf cut applied above the leaves all change an answer
-//! here.
+//! item scores what its parent scores, from its category's list of
+//! added items). A user with a zero factor and no history scores every
+//! node exactly 0: only the bounds of items with a radius clear the
+//! heap's worst score, so a bottom-level list that ends on a bound
+//! *equal* to it skips a tied item with a smaller position. An unstable
+//! selection that forgets the frontier position, a leaf cut that
+//! forgets the exclude list, a leaf cut applied above the leaves, a
+//! non-strict stop or a skipped list of added items all change an
+//! answer here. Bounds tight enough to need the rounding pad take
+//! written offsets: that case is a unit test in `inference.rs`.
 //!
 //! Every taxonomy keeps its leaves on the bottom level (the generator's
 //! shape, and adds go under a bottom-level category): that is the
@@ -259,13 +268,15 @@ fn beam_walk_is_bit_identical_to_the_full_sort_cascade() {
         // U below the depth leaves the upper levels without factors:
         // every node there scores exactly 0.
         let update_levels = rng.gen_range(1..=depth + 1);
-        let model = TfTrainer::new(
+        let mut model = TfTrainer::new(
             ModelConfig::tf(update_levels, 1)
                 .with_factors(rng.gen_range(3..9))
                 .with_epochs(1),
             &d.taxonomy,
         )
         .fit(&d.train, seed);
+        let n_users = model.num_users();
+        let zero_user = model.push_user(&vec![0.0; model.k()]);
         let bottom_categories: Vec<NodeId> = {
             let tax = model.taxonomy();
             tax.nodes_at_level(depth - 1)
@@ -275,10 +286,10 @@ fn beam_walk_is_bit_identical_to_the_full_sort_cascade() {
         };
 
         let mut chains = Chains::new(&model);
-        let n_users = model.num_users();
         let mut users: Vec<(usize, Vec<Transaction>)> = vec![
             (0, Vec::new()),
             (n_users / 2, d.train.user(n_users / 2).to_vec()),
+            (zero_user, Vec::new()),
         ];
         chains.check(&format!("model {seed} initial"), &users);
 
