@@ -89,7 +89,7 @@ pub fn train(args: &CliArgs) -> Result<String, CliError> {
     let (u, b) = args.system()?;
     let factors = args.get("factors", 16usize)?;
     let epochs = args.get("epochs", 20usize)?;
-    let threads = args.get("threads", default_threads())?;
+    let threads = args.get("threads", crate::cores())?;
     let seed: u64 = args.get("seed", 42u64)?;
     let cache_th: f32 = args.get("cache-th", -1.0f32)?;
 
@@ -132,7 +132,7 @@ pub fn evaluate(args: &CliArgs) -> Result<String, CliError> {
     }
     let data = DataDir::new(args.require("data")?);
     let model = load_model(args.require("model")?)?;
-    let threads = args.get("threads", default_threads())?;
+    let threads = args.get("threads", crate::cores())?;
     let category_level = args.get("category-level", 1usize)?;
     let train_log = data.train()?;
     let test_log = data.test()?;
@@ -205,7 +205,7 @@ fn evaluate_dataset(args: &CliArgs) -> Result<String, CliError> {
     let model_path = args.require("model")?.to_string();
     let model = load_model(&model_path)?;
     let dataset_path = args.require("dataset")?.to_string();
-    let threads = args.get("threads", default_threads())?;
+    let threads = args.get("threads", crate::cores())?;
     let train_log = data.train()?;
     check_model_fits(&model, &train_log)?;
 
@@ -316,7 +316,7 @@ pub fn recommend(args: &CliArgs) -> Result<String, CliError> {
     let mut model = load_model(args.require("model")?)?;
     let top: usize = args.get("top", 10usize)?;
     let cascade_k: f64 = args.get("cascade", 1.0f64)?;
-    let threads = args.get("threads", default_threads())?;
+    let threads = args.get("threads", crate::cores())?;
     let train_log = data.train()?;
     check_model_fits(&model, &train_log)?;
 
@@ -560,12 +560,6 @@ fn check_model_fits(model: &TfModel, train: &taxrec_dataset::PurchaseLog) -> Res
         )));
     }
     Ok(())
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 #[cfg(test)]

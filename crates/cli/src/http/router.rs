@@ -102,7 +102,9 @@ fn write_user_json(out: &mut String, server: &LiveServer, user: usize, recs: &[(
     for (n, (i, s)) in recs.iter().enumerate() {
         out.push_str(if n == 0 { "{\"item\":" } else { ",{\"item\":" });
         server.write_item_label(out, *i);
-        let _ = write!(out, ",\"id\":{},\"score\":{s:.4}}}", i.0);
+        let _ = write!(out, ",\"id\":{},\"score\":", i.0);
+        json::write_score(out, *s);
+        out.push('}');
     }
     out.push_str("]}");
 }
@@ -269,8 +271,8 @@ pub fn route(server: &LiveServer, method: &str, path_query: &str, body: &[u8]) -
                 .unwrap_or(10usize);
             let threads = get_param("threads")
                 .and_then(|v| v.parse().ok())
-                .unwrap_or_else(default_threads)
-                .clamp(1, 64);
+                .unwrap_or(server.cores())
+                .clamp(1, server.cores());
             let backend = backend_from(
                 get_param("cascade"),
                 snap.model().taxonomy().depth(),
@@ -323,16 +325,20 @@ pub fn route(server: &LiveServer, method: &str, path_query: &str, body: &[u8]) -
             }
             let scorer = snap.engine().scorer();
             let query_vec = scorer.query(user, server.history_for(&snap, user));
-            let cats: Vec<String> = scorer
+            let mut body = format!("{{\"user\":{user},\"level\":{level},\"categories\":[");
+            for (n, (node, s)) in scorer
                 .rank_level(&query_vec, level)
                 .iter()
                 .take(10)
-                .map(|(n, s)| format!("{{\"node\":{},\"score\":{s:.4}}}", n.0))
-                .collect();
-            Response::ok(format!(
-                "{{\"user\":{user},\"level\":{level},\"categories\":[{}]}}",
-                cats.join(",")
-            ))
+                .enumerate()
+            {
+                body.push_str(if n == 0 { "{\"node\":" } else { ",{\"node\":" });
+                let _ = write!(body, "{},\"score\":", node.0);
+                json::write_score(&mut body, *s);
+                body.push('}');
+            }
+            body.push_str("]}");
+            Response::ok(body)
         }
         "/live/stats" => Response::ok(stats_json(server, &snap)),
         "/metrics" => Response::prometheus(server.obs().registry().render_prometheus()),
@@ -584,11 +590,4 @@ fn fold_in_history(parsed: &Json) -> Result<Vec<Transaction>, String> {
         return Err("history must contain at least one purchase".to_string());
     }
     Ok(history)
-}
-
-/// Engine-internal parallelism default for one batch request.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }

@@ -177,6 +177,61 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
+/// Append `s` to `out` byte for byte as `format!("{s:.4}")` writes it —
+/// the f32's exact value rounded half to even at four decimals, with a
+/// `-` on every negative value, `-0.0000` included — in integer
+/// arithmetic instead of the formatting machinery. Every `"score"` a
+/// response carries goes through here. Non-finite values and
+/// `|s| ≥ 1e9` are written by `{:.4}` itself.
+pub fn write_score(out: &mut String, s: f32) {
+    if !s.is_finite() || s.abs() >= 1e9 {
+        let _ = write!(out, "{s:.4}");
+        return;
+    }
+    let bits = s.to_bits();
+    if bits >> 31 == 1 {
+        out.push('-');
+    }
+    // |s| = m · 2^e exactly; m < 2^24, so m · 10^4 < 2^38.
+    let (biased, frac) = ((bits >> 23) & 0xff, u64::from(bits & 0x7f_ffff));
+    let (m, e) = match biased {
+        0 => (frac, -149),
+        b => (frac | 1 << 23, b as i32 - 150),
+    };
+    let n = m * 10_000;
+    let q = if e >= 0 {
+        // |s| < 1e9 < 2^30 bounds e to 6: n · 2^e < 2^44.
+        n << e
+    } else if e <= -64 {
+        // n < 2^38 is below half of 2^-e.
+        0
+    } else {
+        let shift = -e;
+        let (q, rem, half) = (n >> shift, n & ((1 << shift) - 1), 1 << (shift - 1));
+        q + u64::from(rem > half || (rem == half && q & 1 == 1))
+    };
+    // Digits right to left: four decimals, the point, the integer part.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let (mut int, mut dec) = (q / 10_000, q % 10_000);
+    for _ in 0..4 {
+        at -= 1;
+        buf[at] = b'0' + (dec % 10) as u8;
+        dec /= 10;
+    }
+    at -= 1;
+    buf[at] = b'.';
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (int % 10) as u8;
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+}
+
 const MAX_DEPTH: usize = 16;
 
 /// Parse one JSON document; trailing non-whitespace is an error.
@@ -413,6 +468,60 @@ mod tests {
         // Display never emits exponents) and still roundtrip.
         let big = Json::Num(1e300).render();
         assert_eq!(parse(&big).unwrap().as_f64(), Some(1e300));
+    }
+
+    fn score(s: f32) -> String {
+        let mut out = String::new();
+        write_score(&mut out, s);
+        out
+    }
+
+    #[test]
+    fn score_writer_matches_the_formatter_on_named_values() {
+        let named = [
+            0.00005f32,
+            0.00015,
+            -0.00005,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            0.5,
+            -1.25,
+            123.456_78,
+            999_999_940.0,
+            1e9,
+            -1e9,
+            1_000_000_060.0,
+            f32::MAX,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        for s in named {
+            assert_eq!(score(s), format!("{s:.4}"), "{s:e}");
+        }
+        assert_eq!(score(-0.0), "-0.0000");
+        assert_eq!(score(-0.00001), "-0.0000");
+        assert_eq!(score(999_999_940.0), "999999936.0000");
+        assert_eq!(score(f32::NAN), "NaN");
+    }
+
+    /// The only exact ties at four decimals are odd multiples of 1/32
+    /// (`x · 10^4` ends in `.5` only when `5^4` divides its numerator):
+    /// they round half to even, so away-from-zero rounding fails here.
+    #[test]
+    fn score_writer_rounds_exact_ties_half_to_even() {
+        assert_eq!(score(0.031_25), "0.0312");
+        assert_eq!(score(0.093_75), "0.0938");
+        assert_eq!(score(-0.156_25), "-0.1562");
+        for j in 0..100_000u32 {
+            let s = (2 * j + 1) as f32 / 32.0;
+            for s in [s, -s] {
+                assert_eq!(score(s), format!("{s:.4}"), "{s}");
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,16 @@ mod users;
 pub use args::CliArgs;
 pub use store::DataDir;
 
+/// The cores this process may run on (`available_parallelism`, 4 when
+/// it cannot be read): every `--threads` default, the serving pool's
+/// width ([`serve::default_workers`]) and the cap a server puts on a
+/// batch read's `threads=`, read once when the server is built.
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+}
+
 /// Entry point: parse, dispatch, and return the textual report.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {

@@ -109,6 +109,9 @@ pub struct LiveServer {
     metrics: Arc<HttpMetrics>,
     fold_seed: std::sync::atomic::AtomicU64,
     repl: ReplRole,
+    /// Cores read once at construction: the default and the cap of a
+    /// batch read's `threads=`.
+    cores: usize,
 }
 
 impl LiveServer {
@@ -158,6 +161,7 @@ impl LiveServer {
             metrics,
             fold_seed: std::sync::atomic::AtomicU64::new(0),
             repl: ReplRole::Standalone,
+            cores: crate::cores(),
         })
     }
 
@@ -190,6 +194,12 @@ impl LiveServer {
     /// and the bench harness).
     pub fn live(&self) -> &LiveHandle {
         &self.live
+    }
+
+    /// The cores read when the server was built: a batch read's
+    /// `threads=` defaults to them and is capped at them.
+    pub(crate) fn cores(&self) -> usize {
+        self.cores
     }
 
     /// This process's replication role.
@@ -455,10 +465,7 @@ pub fn spawn_follow(server: Arc<LiveServer>, stop: Arc<AtomicBool>) -> std::thre
 /// stalled client never serializes the server even on a 1-core box),
 /// capped at 64.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 64)
+    crate::cores().clamp(2, 64)
 }
 
 /// How the pooled accept loop runs. `Default` matches the CLI defaults.

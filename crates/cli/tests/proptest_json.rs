@@ -1,7 +1,8 @@
 //! Property tests for the hand-rolled JSON parser in
 //! `crates/cli/src/json.rs`: arbitrary inputs never panic, valid
 //! documents round-trip through `json_str`/serialisation, and the 2^53
-//! exact-integer bound is enforced at every nesting depth.
+//! exact-integer bound is enforced at every nesting depth; the response
+//! score writer is byte-equal to `format!("{:.4}")` on every f32.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -169,5 +170,33 @@ proptest! {
         prop_assert!(json::parse(&ok).is_ok());
         let deep = nest("0", 16 + extra);
         prop_assert!(json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn score_writer_is_the_formatter_on_any_f32_bits(
+        bits in collection::vec(any::<u32>(), 512),
+    ) {
+        for b in bits {
+            let s = f32::from_bits(b);
+            let mut out = String::new();
+            json::write_score(&mut out, s);
+            prop_assert_eq!(&out, &format!("{s:.4}"), "bits {:#010x}", b);
+        }
+    }
+
+    #[test]
+    fn score_writer_is_the_formatter_on_score_sized_f32s(
+        parts in collection::vec((0u32..2, 90u32..160, 0u32..(1 << 23)), 512),
+    ) {
+        // Sign, exponent field and mantissa drawn so |s| spans
+        // 2^-37 .. 2^33: every rounding shift, the 1e9 fallback edge
+        // and the sizes real scores take.
+        for (sign, exp, mant) in parts {
+            let b = sign << 31 | exp << 23 | mant;
+            let s = f32::from_bits(b);
+            let mut out = String::new();
+            json::write_score(&mut out, s);
+            prop_assert_eq!(&out, &format!("{s:.4}"), "bits {:#010x}", b);
+        }
     }
 }

@@ -67,3 +67,44 @@ pub use scoring::Scorer;
 pub use tier::{FoldRecipe, TierStatsSnapshot, UserTier};
 pub use train::{untrained_model, TfTrainer, TrainStats};
 pub use tune::{grid_search, holdout_last_t, GridSearchResult};
+
+#[cfg(test)]
+pub(crate) use temp_dir::TempDir;
+
+#[cfg(test)]
+mod temp_dir {
+    use std::path::{Path, PathBuf};
+
+    /// A directory for unit tests under the system temp dir, named
+    /// `<name>-<pid>`, created empty and removed with its contents on
+    /// drop, so a test run leaves nothing behind.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        pub(crate) fn new(name: &str) -> TempDir {
+            let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("creating a test temp dir");
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}

@@ -721,12 +721,8 @@ mod tests {
         tax.parent(tax.item_node(ItemId(0))).unwrap()
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("taxrec-live-queue-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmpdir(tag: &str) -> crate::TempDir {
+        crate::TempDir::new(&format!("taxrec-live-queue-{tag}"))
     }
 
     #[test]

@@ -1,14 +1,46 @@
-//! Batch planning: split a multi-user request batch into per-worker
-//! shards with balanced estimated cost.
+//! Batch planning: decide how many workers a multi-user request batch
+//! pays for, then split it into per-worker shards with balanced
+//! estimated cost.
 //!
-//! Requests are not uniform — exhaustive inference costs one catalog
-//! scan regardless of the user, while the query build scales with the
-//! conditioning history and cascaded inference scales with the beam.
-//! The planner assigns each request an estimated cost and cuts the
-//! batch into `workers` *contiguous* spans of near-equal total cost
-//! (contiguous so results keep the request order and every shard is one
-//! cache-friendly slice). Cutting is greedy against the ideal per-shard
-//! cost; for uniform costs it degenerates to even chunking.
+//! Costs are estimated rows scored. They are not uniform: exhaustive
+//! inference scores the whole catalog whatever the user, the radius
+//! walk and the walk-cut cascaded beam score a few hundred rows that
+//! grow with `k`, and the query build scales with the conditioning
+//! history. `workers` gives a batch one worker per `SPAWN_ROWS`
+//! estimated rows, so spawned spans carry that much on average; a
+//! batch that gets one runs on the calling thread. The planner then
+//! cuts the batch into that many *contiguous* spans of near-equal total
+//! cost (contiguous so results keep the request order and every shard
+//! is one cache-friendly slice). Cutting is greedy against the ideal
+//! per-shard cost; for uniform costs it degenerates to even chunking.
+
+/// Estimated rows a spawned worker must score to pay for its spawn and
+/// join.
+///
+/// Calibrated on the `batch_cascade` benchmark model (8 000 items under
+/// 12/60/300 categories, K = 32, TF(4, 2), top 20, ≈ 200 estimated rows
+/// per user) on a 2-core x86-64 box, median of 400 batches, one thread
+/// against two:
+/// - 8 users (≈ 1 800 rows): two threads never won — cascade 0.3
+///   115 → 184 µs, the walk 84 → 133 µs; sharing one core 167 → 249 µs
+///   and 101 → 179 µs;
+/// - 32 users (≈ 6 600 rows): no clear winner — the beam 487 → 590 µs,
+///   the walk 470 → 337 µs, each in two of three repeats; sharing one
+///   core the beam 630 → 752 µs;
+/// - 64 users (≈ 13 000 rows): two threads won every repeat — the beam
+///   1 420 → 965 µs, the walk 784 → 637 µs.
+///
+/// Repeats swung up to 1.6×. One worker per 4 096 rows keeps such
+/// batches inline up to about 40 users and gives 64 users two workers.
+pub(crate) const SPAWN_ROWS: u64 = 4096;
+
+/// Workers a batch of `requests` requests estimated at `rows` rows
+/// pays for: one per [`SPAWN_ROWS`], never more than `threads` or
+/// `requests`, and at least one (the calling thread).
+pub(crate) fn workers(rows: u64, threads: usize, requests: usize) -> usize {
+    let paid = usize::try_from(rows / SPAWN_ROWS).unwrap_or(usize::MAX);
+    paid.min(threads).min(requests).max(1)
+}
 
 /// One contiguous span of the request batch, assigned to one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +162,21 @@ mod tests {
     #[test]
     fn empty_batch() {
         assert!(plan(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn a_worker_costs_one_spawn_of_rows() {
+        // Below two spawns' worth the batch stays on the calling thread.
+        assert_eq!(workers(0, 8, 8), 1);
+        assert_eq!(workers(2 * SPAWN_ROWS - 1, 8, 64), 1);
+        assert_eq!(workers(2 * SPAWN_ROWS, 8, 64), 2);
+        assert_eq!(workers(100 * SPAWN_ROWS, 8, 64), 8);
+        // Never more than the threads asked for or the requests.
+        assert_eq!(workers(100 * SPAWN_ROWS, 3, 64), 3);
+        assert_eq!(workers(100 * SPAWN_ROWS, 8, 5), 5);
+        assert_eq!(workers(u64::MAX, usize::MAX, 7), 7);
+        assert_eq!(workers(u64::MAX, 0, 7), 1);
+        assert_eq!(workers(u64::MAX, 4, 0), 1);
     }
 
     #[test]

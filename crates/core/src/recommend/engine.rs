@@ -539,6 +539,11 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
 
     /// [`recommend_batch`](Self::recommend_batch) through an explicit
     /// backend, overriding the engine default for this batch only.
+    ///
+    /// `threads` is an upper bound: the batch is cut into no more spans
+    /// than its estimated rows pay a spawned worker for (about 4 000
+    /// rows each, the walk-served reads of some 20 users), and a batch
+    /// that pays for one runs inline on the calling thread.
     pub fn recommend_batch_with(
         &self,
         requests: &[RecommendRequest<'_>],
@@ -548,14 +553,39 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
     where
         M: Sync,
     {
-        let costs: Vec<u64> = requests.iter().map(|r| self.cost(r, backend)).collect();
-        let shards = batch::plan(&costs, threads.max(1).min(requests.len().max(1)));
+        let spans = self.plan(requests, threads, backend);
+        self.serve_spans(requests, &spans, backend)
+    }
 
+    /// The contiguous spans [`recommend_batch_with`](Self::recommend_batch_with)
+    /// serves, balanced by [`cost`](Self::cost).
+    fn plan(
+        &self,
+        requests: &[RecommendRequest<'_>],
+        threads: usize,
+        backend: &Backend,
+    ) -> Vec<Shard> {
+        let costs: Vec<u64> = requests.iter().map(|r| self.cost(r, backend)).collect();
+        let workers = batch::workers(costs.iter().sum(), threads, requests.len());
+        batch::plan(&costs, workers)
+    }
+
+    /// Serve `requests` cut into `spans` (contiguous, in order, covering
+    /// every request): one span on the calling thread, more on one
+    /// scoped worker each. Results come back in request order.
+    fn serve_spans(
+        &self,
+        requests: &[RecommendRequest<'_>],
+        spans: &[Shard],
+        backend: &Backend,
+    ) -> Vec<Vec<(ItemId, f32)>>
+    where
+        M: Sync,
+    {
         let mut results: Vec<Vec<(ItemId, f32)>> = Vec::with_capacity(requests.len());
         results.resize_with(requests.len(), Vec::new);
 
-        if shards.len() <= 1 {
-            // No parallelism worth spawning for.
+        if spans.len() <= 1 {
             let mut scratch = Scratch::new(self.model().k());
             for (req, out) in requests.iter().zip(results.iter_mut()) {
                 self.serve_into(req, backend, &mut scratch, out);
@@ -563,12 +593,12 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
             return results;
         }
 
-        // One worker per shard; each gets a disjoint slice of the result
+        // One worker per span; each gets a disjoint slice of the result
         // vector matching its request span.
         std::thread::scope(|scope| {
             let mut rest: &mut [Vec<(ItemId, f32)>] = &mut results;
             let mut consumed = 0usize;
-            for Shard { start, end } in shards {
+            for &Shard { start, end } in spans {
                 let (mine, tail) = rest.split_at_mut(end - consumed);
                 rest = tail;
                 consumed = end;
@@ -584,28 +614,22 @@ impl<M: Deref<Target = TfModel>> RecommendEngine<M> {
         results
     }
 
-    /// Estimated cost of one request, in arbitrary comparable units.
+    /// Estimated rows one request scores: the planner's unit.
     fn cost(&self, req: &RecommendRequest<'_>, backend: &Backend) -> u64 {
-        let scan = match backend {
-            Backend::Exhaustive => self.model().num_items(),
-            // A walk scores about a hundred category and item rows plus
-            // a few per requested item, whatever the catalog size.
-            Backend::Walk => 128 + 2 * req.k.min(self.model().num_items()),
-            // The quantized first pass reads 4× less per row; the
-            // planner only needs relative weights.
-            Backend::Quantized(_) => (self.model().num_items() / 4).max(1),
-            // A beam touches a config-dependent fraction of the catalog;
-            // the planner only needs relative weights, so approximate
-            // with the leaf-level keep fraction.
-            Backend::Cascaded(cfg) => {
-                let leaf_frac = cfg.keep_fractions.last().copied().unwrap_or(1.0);
-                ((self.model().num_items() as f64 * leaf_frac.clamp(0.05, 1.0)) as usize).max(1)
-            }
+        let items = self.model().num_items();
+        let rows = match backend {
+            Backend::Exhaustive => items,
+            // The walk, and the beam whose bottom level the walk's
+            // bounds cut, score about a hundred category and item rows
+            // plus a few per requested item, whatever the catalog size.
+            Backend::Walk | Backend::Cascaded(_) => 128 + 2 * req.k.min(items),
+            // The quantized first pass reads 4× less per row.
+            Backend::Quantized(_) => (items / 4).max(1),
         };
         // Query building touches the conditioning history once per item
         // in the last B baskets.
         let markov: usize = req.history.iter().rev().take(8).map(|b| b.len()).sum();
-        (scan + 4 * markov) as u64
+        (rows + 4 * markov) as u64
     }
 
     /// [`recommend_with`](Self::recommend_with) recording one span per
@@ -1064,6 +1088,111 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    fn bits(results: &[Vec<(ItemId, f32)>]) -> Vec<Vec<(u32, u32)>> {
+        results
+            .iter()
+            .map(|r| r.iter().map(|&(i, s)| (i.0, s.to_bits())).collect())
+            .collect()
+    }
+
+    /// Forced 2-, 3- and 8-span plans serve what one inline span serves,
+    /// id for id and bit for bit, over the walk, the beam and the
+    /// exhaustive scan. Test-sized batches run inline under the
+    /// planner's own rule, so this keeps the spawned path covered.
+    #[test]
+    fn forced_spans_match_the_inline_batch() {
+        let mut m = model(1);
+        // User 5 has a zero factor and no history: every item scores
+        // exactly 0, so the whole ranking is tie-break.
+        m.user_factors.row_mut(5).fill(0.0);
+        let depth = m.taxonomy().depth();
+        let histories: Vec<Vec<Transaction>> = (0..24)
+            .map(|u| match u {
+                5 => Vec::new(),
+                _ => vec![vec![ItemId((u * 11 % 300) as u32)], vec![ItemId(u as u32)]],
+            })
+            .collect();
+        let exclude = [ItemId(3), ItemId(40), ItemId(41), ItemId(299)];
+        let requests: Vec<RecommendRequest> = (0..24)
+            .map(|u| RecommendRequest {
+                user: u,
+                history: &histories[u],
+                k: [12, 1, 40][u % 3],
+                exclude: if u % 2 == 0 { &exclude } else { &[] },
+            })
+            .collect();
+        for backend in [
+            Backend::Walk,
+            Backend::Cascaded(CascadeConfig::uniform(depth, 0.3)),
+            Backend::Exhaustive,
+        ] {
+            let engine = RecommendEngine::with_backend(&m, backend.clone());
+            let whole = [Shard {
+                start: 0,
+                end: requests.len(),
+            }];
+            let inline = engine.serve_spans(&requests, &whole, &backend);
+            assert!(inline[5].iter().all(|&(_, s)| s == 0.0), "{backend:?}");
+            let costs: Vec<u64> = requests.iter().map(|r| engine.cost(r, &backend)).collect();
+            for n in [2usize, 3, 8] {
+                let spans = batch::plan(&costs, n);
+                assert_eq!(spans.len(), n, "{backend:?}");
+                let got = engine.serve_spans(&requests, &spans, &backend);
+                assert_eq!(bits(&got), bits(&inline), "{backend:?} {n} spans");
+            }
+        }
+    }
+
+    /// The planner spawns only workers that pay: an 8-user walk or beam
+    /// batch runs inline at any `threads`; a batch estimated at over
+    /// two spawns' worth of rows gets two; the count never exceeds
+    /// `threads` or the requests.
+    #[test]
+    fn planner_spawns_only_the_workers_that_pay() {
+        let m = model(1);
+        let depth = m.taxonomy().depth();
+        let beam = Backend::Cascaded(CascadeConfig::uniform(depth, 0.3));
+        let engine = RecommendEngine::with_backend(&m, Backend::Walk);
+        let simple = |n: usize| -> Vec<RecommendRequest> {
+            (0..n).map(|u| RecommendRequest::simple(u, 20)).collect()
+        };
+        let rows = |reqs: &[RecommendRequest], backend: &Backend| -> u64 {
+            reqs.iter().map(|r| engine.cost(r, backend)).sum()
+        };
+        for backend in [&Backend::Walk, &beam] {
+            let eight = simple(8);
+            for threads in [1usize, 2, 8, 64] {
+                assert_eq!(
+                    engine.plan(&eight, threads, backend).len(),
+                    1,
+                    "{backend:?}"
+                );
+            }
+            // The smallest batch over twice the threshold.
+            let n = (1..=64)
+                .find(|&n| rows(&simple(n), backend) > 2 * batch::SPAWN_ROWS)
+                .expect("64 users cover two spawns");
+            assert_eq!(engine.plan(&simple(n), 8, backend).len(), 2, "{backend:?}");
+            assert_eq!(engine.plan(&simple(n), 1, backend).len(), 1, "{backend:?}");
+        }
+        // Long histories price three requests far over the threshold:
+        // the requests, then `threads`, cap the workers.
+        let long: Vec<Transaction> = vec![(0..300).map(ItemId).collect(); 8];
+        let heavy: Vec<RecommendRequest> = (0..3)
+            .map(|u| RecommendRequest {
+                user: u,
+                history: &long,
+                k: 20,
+                exclude: &[],
+            })
+            .collect();
+        assert!(rows(&heavy, &Backend::Walk) > 4 * batch::SPAWN_ROWS);
+        assert_eq!(engine.plan(&heavy, 64, &Backend::Walk).len(), 3);
+        assert_eq!(engine.plan(&heavy, 2, &Backend::Walk).len(), 2);
+        assert_eq!(engine.plan(&heavy, 0, &Backend::Walk).len(), 1);
+        assert!(engine.plan(&[], 8, &Backend::Walk).is_empty());
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //! Cross-user parallelism uses `std::thread::scope` shards (the same
 //! idiom as [`crate::eval`]) rather than a work-stealing pool: requests
 //! are planned into contiguous, cost-balanced shards up front by
-//! [`batch::plan`], so stealing would only add queue traffic. The
+//! [`batch::plan`], so stealing would only add queue traffic. A batch
+//! gets a spawned worker per ~4 000 estimated rows scored, up to its
+//! `threads`; below two such spans it runs on the calling thread. The
 //! dependency-free choice also matches this workspace's offline build
 //! constraints (see `vendor/README.md`).
 //!

@@ -598,10 +598,11 @@ mod tests {
     use taxrec_factors::FactorMatrix;
     use taxrec_taxonomy::ZipfWeights;
 
-    fn tmpfile(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("taxrec-tier-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("users.cold")
+    /// A fresh temp dir for one tier's cold file. Built as a temporary,
+    /// the guard removes the dir at the end of the `UserTier::build`
+    /// statement: the tier reads through the handle it already holds.
+    fn tmpdir(tag: &str) -> crate::TempDir {
+        crate::TempDir::new(&format!("taxrec-tier-{tag}"))
     }
 
     fn matrix(rows: usize, k: usize) -> CowMatrix {
@@ -626,7 +627,8 @@ mod tests {
     fn cold_roundtrip_is_bit_identical() {
         let users = matrix(600, 7);
         let reg = registry();
-        let tier = UserTier::build(&tmpfile("roundtrip"), &users, 16, &reg).unwrap();
+        let tier =
+            UserTier::build(&tmpdir("roundtrip").join("users.cold"), &users, 16, &reg).unwrap();
         let mut out = vec![0.0f32; 7];
         for u in [0usize, 1, 255, 256, 599] {
             tier.copy_row(u, &mut out, no_refold);
@@ -638,7 +640,7 @@ mod tests {
     fn clock_evicts_and_refaults() {
         let users = matrix(40, 4);
         let reg = registry();
-        let tier = UserTier::build(&tmpfile("clock"), &users, 8, &reg).unwrap();
+        let tier = UserTier::build(&tmpdir("clock").join("users.cold"), &users, 8, &reg).unwrap();
         let mut out = vec![0.0f32; 4];
         for u in 0..40 {
             tier.copy_row(u, &mut out, no_refold);
@@ -661,7 +663,7 @@ mod tests {
     fn recipe_overrides_cold_file_and_survives_eviction() {
         let users = matrix(20, 4);
         let reg = registry();
-        let tier = UserTier::build(&tmpfile("recipe"), &users, 2, &reg).unwrap();
+        let tier = UserTier::build(&tmpdir("recipe").join("users.cold"), &users, 2, &reg).unwrap();
         let recipe = FoldRecipe {
             history: Arc::from(Vec::new()),
             steps: 3,
@@ -693,7 +695,7 @@ mod tests {
     fn set_row_appends_and_grows_total() {
         let users = matrix(10, 3);
         let reg = registry();
-        let tier = UserTier::build(&tmpfile("grow"), &users, 4, &reg).unwrap();
+        let tier = UserTier::build(&tmpdir("grow").join("users.cold"), &users, 4, &reg).unwrap();
         assert_eq!(tier.total_rows(), 10);
         let recipe = FoldRecipe {
             history: Arc::from(Vec::new()),
@@ -721,7 +723,7 @@ mod tests {
         reads: usize,
     ) -> TierStatsSnapshot {
         let reg = registry();
-        let tier = UserTier::build(&tmpfile(tag), users, budget, &reg).unwrap();
+        let tier = UserTier::build(&tmpdir(tag).join("users.cold"), users, budget, &reg).unwrap();
         let mut rng = StdRng::seed_from_u64(41);
         let mut out = vec![0.0f32; users.k()];
         for _ in 0..reads {
@@ -755,7 +757,7 @@ mod tests {
     fn reading_past_total_panics() {
         let users = matrix(4, 2);
         let reg = registry();
-        let tier = UserTier::build(&tmpfile("oob"), &users, 2, &reg).unwrap();
+        let tier = UserTier::build(&tmpdir("oob").join("users.cold"), &users, 2, &reg).unwrap();
         let mut out = vec![0.0f32; 2];
         tier.copy_row(4, &mut out, no_refold);
     }
